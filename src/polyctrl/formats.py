@@ -19,6 +19,8 @@ via repr).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .hypergraph import DirectedHypergraph, Hyperedge
@@ -50,9 +52,12 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
 
 def _parse_float(token: str, line_no: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(line_no, f"value {token!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ParseError(line_no, f"value {token!r} is not finite")
+    return value
 
 
 def parse_system(text: str) -> Polysystem | SparsityPattern:

@@ -1,23 +1,28 @@
 """Numeric strong-controllability tests.
 
-The reduced controllability matrix is grown iteratively: apply the unfolded
-tensor to the Kronecker power of the current basis, append, and compress
-with a thin SVD so the column count never exceeds n.  The explicit
-controllability matrix runs the same recursion uncompressed: each step
-appends A applied to the Kronecker power of the whole matrix so far, so
-its width w becomes w + w**(k-1) per step and explodes doubly
+The reduced controllability matrix is grown iteratively: apply the tensor
+to the Kronecker power of the current basis, append, and compress with a
+thin SVD so the column count never exceeds n.  The generated block is built
+from the stored entries, each adding a row-wise Kronecker product of basis
+rows to its head row, so its cost is nnz * s**(k-1) for a basis of s
+columns and neither the Kronecker power nor a dense unfolding enters the
+product; the unfolding is formed once per call, only for the spectral norm
+that scales the coefficients.
+
+The explicit controllability matrix runs the same recursion uncompressed:
+each step appends A applied to the Kronecker power of the whole matrix so
+far, so its width w becomes w + w**(k-1) per step and explodes doubly
 exponentially, which is why it only serves as a desk-scale oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .system import Polysystem, ensure_valid
-from .tensor import DEFAULT_CAP, CapacityError, kron_power, unfold
+from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, kron_power, unfold
 
 __all__ = [
     "RankReport",
@@ -48,27 +53,50 @@ def svd_rank(mat: np.ndarray, tol: float = 0.0) -> int:
     return int(np.count_nonzero(sigma > _relative_tolerance(tol, mat.shape) * sigma[0]))
 
 
-def _generated_block(
-    a_mat: np.ndarray, basis: np.ndarray, order: int, cap: int
-) -> np.ndarray:
-    """Apply the unfolded tensor to the Kronecker power of ``basis``.
+def _entry_arrays(
+    tensor: SparseTensor, a_norm: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based tail indices (nnz, k-1), head indices (nnz,) and coefficients
+    (nnz,) of the stored entries, the coefficients divided by ``a_norm``."""
+    entries = tensor.entries
+    nnz, k = len(entries), tensor.order
+    idx = np.array(list(entries), dtype=np.intp).reshape(nnz, k) - 1
+    coeffs = np.fromiter(entries.values(), dtype=float, count=nnz)
+    if a_norm > 0.0:
+        coeffs = coeffs / a_norm
+    return idx[:, :-1], idx[:, -1], coeffs
 
-    Columns are produced one at a time (tuple index in lexicographic order,
-    first factor slowest) so only a single Kronecker column is ever alive.
+
+def _generated_block(
+    tails: np.ndarray,
+    heads: np.ndarray,
+    coeffs: np.ndarray,
+    basis: np.ndarray,
+    cap: int,
+) -> np.ndarray:
+    """Apply the tensor to the Kronecker power of ``basis``, entry by entry.
+
+    Entry e adds ``c_e * V[i1] kron ... kron V[i_{k-1}]`` (rows of the basis
+    V at its tail indices) to row ``head_e`` of the block, so columns keep
+    the ``kron_power`` order: tuple index lexicographic, first factor
+    slowest.  Entries are taken at most n at a time, so no temporary is
+    larger than the block itself.
     """
-    n = a_mat.shape[0]
-    s = basis.shape[1]
-    width = s ** (order - 1)
+    n, s = basis.shape
+    width = s ** tails.shape[1]
     if n * width > cap:
         raise CapacityError(
             f"generated block needs {n * width} cells, cap is {cap}"
         )
-    out = np.empty((n, width))
-    for pos, combo in enumerate(product(range(s), repeat=order - 1)):
-        col = basis[:, combo[0]]
-        for j in combo[1:]:
-            col = np.kron(col, basis[:, j])
-        out[:, pos] = a_mat @ col
+    out = np.zeros((n, width))
+    for start in range(0, heads.size, n):
+        chunk = slice(start, start + n)
+        rows = basis[tails[chunk, 0]]
+        for mode in range(1, tails.shape[1]):
+            factor = basis[tails[chunk, mode]]
+            rows = (rows[:, :, None] * factor[:, None, :]).reshape(rows.shape[0], -1)
+        rows *= coeffs[chunk, None]
+        np.add.at(out, heads[chunk], rows)
     return out
 
 
@@ -85,25 +113,24 @@ def _reduce(
     system: Polysystem, tol: float, cap: int
 ) -> tuple[np.ndarray, int, float, list[int]]:
     ensure_valid(system)
-    n, k = system.dim, system.order
-    a_mat = unfold(system.tensor, cap=cap)
+    n = system.dim
     # B is compressed to an orthonormal basis before the loop and the
-    # unfolded tensor is scaled to unit spectral norm once.  Both steps
+    # coefficients are divided once by the spectral norm of the unfolded
+    # tensor (built only for that norm and its capacity guard).  Both steps
     # preserve the span chain, and they make the rank verdict independent
     # of the overall coefficient scale: raw stacking of B against
     # A(B kron ... kron B) would otherwise compare magnitudes that differ
     # by the scale to the power k-1.  Per-block rescaling is deliberately
     # avoided; it would amplify an all-noise block into a fake direction.
-    a_norm = np.linalg.norm(a_mat, 2)
-    if a_norm > 0.0:
-        a_mat = a_mat / a_norm
+    a_norm = np.linalg.norm(unfold(system.tensor, cap=cap), 2)
+    tails, heads, coeffs = _entry_arrays(system.tensor, a_norm)
     basis, previous_rank, used_tol = _compress(np.array(system.control), tol)
     iterations = 0
     history: list[int] = []
     for _ in range(n):
         if basis.shape[1] == 0 or previous_rank == n:
             break
-        block = _generated_block(a_mat, basis, k, cap)
+        block = _generated_block(tails, heads, coeffs, basis, cap)
         iterations += 1
         basis, rank, used_tol = _compress(np.hstack([basis, block]), tol)
         history.append(rank)

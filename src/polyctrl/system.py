@@ -76,6 +76,8 @@ def validate(system: Polysystem) -> list[str]:
         )
     if cols < 1:
         violations.append("dimension: control matrix needs at least one column")
+    if not np.isfinite(system.control).all():
+        violations.append("value: control matrix has non-finite entries")
     return violations
 
 

@@ -14,6 +14,7 @@ with the leftmost Kronecker factor bound to tail mode 1.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -50,6 +51,8 @@ def _normalize_entries(order, dim, entries):
             if not 1 <= i <= dim:
                 raise ValueError(f"index {i} of multi-index {idx} outside [1, {dim}]")
         coeff = float(value)
+        if not math.isfinite(coeff):
+            raise ValueError(f"non-finite coefficient {coeff} at {idx}")
         if coeff == 0.0:
             raise ValueError(f"exact-zero coefficient at {idx}: drop the entry instead")
         if idx in out:

@@ -239,6 +239,18 @@ def test_bad_tolerance_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "input"
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_coefficient_exit_code(tmp_path, capsys, value):
+    path = write(tmp_path, f"tensor 2 2\n1 2 {value}\nmatrix 2 1\n1 1 1.0\n")
+    code = run(["rank", path, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "input"
+    assert error["message"].startswith("line 2")
+
+
 def test_capacity_exit_code(tmp_path, capsys):
     path = write(tmp_path, CUBIC_TEXT)
     code = run(["rank", path, "--json", "--cap", "4"])

@@ -74,6 +74,11 @@ def test_parse_reports_line_numbers():
         ("tensor 4 2\n1 1 1 1.0\nmatrix 2 1\n", "not an integer"),
         ("tensor 4 2\n1 1 1 1 2 3 1.0\nmatrix 2 1\n", "optional value"),
         ("tensor 4 2\n1 1 1 2 0.0\nmatrix 2 1\n", "exact-zero"),
+        ("tensor 4 2\n1 1 1 2 inf\nmatrix 2 1\n", "not finite"),
+        ("tensor 4 2\n1 1 1 2 -inf\nmatrix 2 1\n", "not finite"),
+        ("tensor 4 2\n1 1 1 2 nan\nmatrix 2 1\n", "not finite"),
+        ("tensor 4 2\nmatrix 2 1\n1 1 inf\n", "not finite"),
+        ("tensor 4 2\nmatrix 2 1\n1 1 NaN\n", "not finite"),
         ("tensor 4 2\n1 1 1 3 1.0\nmatrix 2 1\n", "outside [1, 2]"),
         ("tensor 4 2\n1 1 1 2\n", "missing 'matrix n m'"),
         ("tensor 4 2\nmatrix 3 1\n", "do not match tensor dimension"),
@@ -88,6 +93,14 @@ def test_parse_reports_line_numbers():
 def test_parse_system_errors(text, fragment):
     with pytest.raises(ParseError, match=".*" + fragment.replace("[", r"\[")):
         parse_system(text)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_value_reports_its_line(value):
+    text = f"tensor 2 2\n1 2 1.0\n2 1 {value}\nmatrix 2 1\n1 1 1.0\n"
+    with pytest.raises(ParseError) as info:
+        parse_system(text)
+    assert info.value.line_no == 3
 
 
 def test_duplicate_entries_report_first_line():

@@ -4,6 +4,8 @@ The frozen rank values below were derived by hand from the block structure
 (see the docstrings on the individual tests) before the implementation ran.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from conftest import (
 )
 from polyctrl.generate import random_system_pattern
 from polyctrl.numeric import (
+    _entry_arrays,
+    _generated_block,
     explicit_controllability_matrix,
     reduced_controllability_matrix,
     strong_controllability,
@@ -24,7 +28,7 @@ from polyctrl.numeric import (
 )
 from polyctrl.oracle import kalman_rank
 from polyctrl.system import Polysystem, sample_realization
-from polyctrl.tensor import CapacityError, SparseTensor, unfold
+from polyctrl.tensor import DEFAULT_CAP, CapacityError, SparseTensor, unfold
 
 
 def scaled(system: Polysystem, factor: float) -> Polysystem:
@@ -143,6 +147,90 @@ def test_invalid_system_is_rejected():
 def test_reduction_capacity_guard():
     with pytest.raises(CapacityError):
         strong_controllability(cubic_forward_system(), cap=4)
+
+
+# --- generated block kernel ---
+
+
+def kron_loop_block(tensor: SparseTensor, basis: np.ndarray) -> np.ndarray:
+    """Reference: the unfolded tensor times each Kronecker column, one at a time."""
+    a_mat = unfold(tensor)
+    s = basis.shape[1]
+    out = np.empty((tensor.dim, s ** (tensor.order - 1)))
+    for pos, combo in enumerate(product(range(s), repeat=tensor.order - 1)):
+        col = basis[:, combo[0]]
+        for j in combo[1:]:
+            col = np.kron(col, basis[:, j])
+        out[:, pos] = a_mat @ col
+    return out
+
+
+def entry_block(tensor: SparseTensor, basis: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
+    tails, heads, coeffs = _entry_arrays(tensor, 1.0)
+    return _generated_block(tails, heads, coeffs, basis, cap)
+
+
+def random_tensor(rng, k: int, n: int, nnz: int) -> SparseTensor:
+    cells = rng.choice(n**k, size=nnz, replace=False)
+    entries = {
+        tuple(int(i) + 1 for i in np.unravel_index(cell, (n,) * k)): float(c)
+        for cell, c in zip(cells, rng.choice([-1.0, 1.0], nnz) * rng.uniform(0.5, 2.0, nnz))
+    }
+    return SparseTensor(k, n, entries)
+
+
+def assert_blocks_match(tensor: SparseTensor, basis: np.ndarray) -> None:
+    got, want = entry_block(tensor, basis), kron_loop_block(tensor, basis)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("k, n, s", [(2, 7, 4), (4, 5, 3), (6, 4, 2)])
+def test_block_matches_kron_loop_on_random_tensors(seed, k, n, s):
+    rng = np.random.default_rng([seed, k])
+    tensor = random_tensor(rng, k, n, nnz=int(rng.integers(1, 4 * n)))
+    assert_blocks_match(tensor, rng.standard_normal((n, s)))
+
+
+def test_block_of_empty_tensor_is_zero():
+    block = entry_block(SparseTensor(4, 3, {}), np.eye(3)[:, :2])
+    assert block.shape == (3, 8)
+    assert not block.any()
+
+
+def test_block_with_repeated_tail_indices():
+    tensor = SparseTensor(4, 2, {(1, 1, 1, 2): 2.0, (2, 2, 1, 1): -1.0})
+    assert_blocks_match(tensor, np.array([[1.0, 0.5], [-2.0, 3.0]]))
+    # with V = I, entry (1,1,1,2) lands in column (0,0,0) of row 2 only
+    assert np.array_equal(entry_block(tensor, np.eye(2))[1], np.eye(8)[0] * 2.0)
+
+
+def test_block_keeps_tail_order():
+    """(1,2,3,h) without (2,1,3,h): only the ordered column is filled."""
+    tensor = SparseTensor(4, 3, {(1, 2, 3, 2): 1.5})
+    block = entry_block(tensor, np.eye(3))
+    assert block[1, (0 * 3 + 1) * 3 + 2] == 1.5
+    assert np.count_nonzero(block) == 1
+    rng = np.random.default_rng(3)
+    assert_blocks_match(tensor, rng.standard_normal((3, 2)))
+
+
+def test_block_crosses_the_chunk_boundary():
+    """nnz > n, so entries go through several chunks and heads repeat across them."""
+    rng = np.random.default_rng(11)
+    tensor = random_tensor(rng, 4, 3, nnz=20)
+    assert len(tensor.entries) > 2 * tensor.dim
+    assert_blocks_match(tensor, rng.standard_normal((3, 3)))
+
+
+def test_block_capacity_guard_is_inclusive():
+    tensor = SparseTensor(4, 3, {(1, 1, 1, 2): 1.0})
+    basis = np.eye(3)[:, :2]
+    cap = 3 * 2**3
+    assert entry_block(tensor, basis, cap=cap).shape == (3, 8)
+    with pytest.raises(CapacityError):
+        entry_block(tensor, basis, cap=cap - 1)
 
 
 # --- explicit controllability matrix ---

@@ -49,6 +49,16 @@ def test_validate_flags_bad_axis_count():
     assert violations[0].startswith("shape:")
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_validate_flags_non_finite_control(value):
+    system = Polysystem(SparseTensor(4, 2, {}), np.array([[1.0], [value]]))
+    violations = validate(system)
+    assert len(violations) == 1
+    assert violations[0].startswith("value:")
+    with pytest.raises(ValueError, match="invalid system"):
+        ensure_valid(system)
+
+
 def test_one_dimensional_control_becomes_column():
     system = Polysystem(SparseTensor(4, 2, {}), np.array([1.0, 0.0]))
     assert system.control.shape == (2, 1)

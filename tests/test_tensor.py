@@ -233,6 +233,12 @@ def test_construction_rejects_bad_shapes():
         SparseTensor(2, 2, {(0, 1): 1.0})
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_construction_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        SparseTensor(2, 2, {(1, 2): value})
+
+
 def test_construction_rejects_zero_and_duplicate():
     with pytest.raises(ValueError, match="exact-zero"):
         SparseTensor(2, 2, {(1, 2): 0.0})
