@@ -8,14 +8,7 @@ a set-algebra accessibility closure, Lie brackets at the origin, the Kalman
 test) cross-check both routes.
 """
 
-from .hypergraph import (
-    DirectedHypergraph,
-    Hyperedge,
-    StarGraph,
-    build_hypergraph,
-    star_expansion,
-    uniform_adjacency_tensor,
-)
+from .hypergraph import DirectedHypergraph, Hyperedge, build_hypergraph
 from .numeric import (
     RankReport,
     explicit_controllability_matrix,
@@ -53,7 +46,6 @@ from .tensor import (
     CapacityError,
     SparseTensor,
     contract,
-    contract_multi,
     kron_power,
     unfold,
 )
@@ -72,14 +64,12 @@ __all__ = [
     "RankReport",
     "SparseTensor",
     "SparsityPattern",
-    "StarGraph",
     "StructuralVerdict",
     "accessible_set",
     "analyze_hypergraph",
     "brute_force_dilation",
     "build_hypergraph",
     "contract",
-    "contract_multi",
     "detect_dilation",
     "explicit_controllability_matrix",
     "individual_accessibility_closure",
@@ -91,12 +81,10 @@ __all__ = [
     "reduced_controllability_matrix",
     "sample_realization",
     "sparsity_pattern",
-    "star_expansion",
     "strong_controllability",
     "structural_verdict",
     "svd_rank",
     "unfold",
-    "uniform_adjacency_tensor",
     "validate",
     "__version__",
 ]

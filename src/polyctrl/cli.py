@@ -36,22 +36,12 @@ __all__ = ["main", "run"]
 FORMAT_VERSION = "1"
 
 
-class _Timings:
-    def __init__(self) -> None:
-        self.phases: dict[str, float] = {}
-
-    def measure(self, name: str):
-        timings = self
-
-        class _Phase:
-            def __enter__(self):
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timings.phases[name] = (time.perf_counter() - self.start) * 1000.0
-                return False
-
-        return _Phase()
+def _timed(phases: dict[str, float], name: str, fn, *args, **kwargs):
+    """Call ``fn`` and record its wall time in milliseconds under ``name``."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    phases[name] = (time.perf_counter() - start) * 1000.0
+    return result
 
 
 def _read_input(args) -> str:
@@ -140,7 +130,7 @@ def _to_pattern(obj) -> SparsityPattern:
 
 
 def _cmd_analyze(args) -> int:
-    timings = _Timings()
+    phases: dict[str, float] = {}
     obj = parse_input(_read_input(args))
     report = {
         "format_version": FORMAT_VERSION,
@@ -150,23 +140,22 @@ def _cmd_analyze(args) -> int:
     if isinstance(obj, DirectedHypergraph):
         if args.numeric:
             raise ParseError(0, "numeric analysis needs tensor/matrix input, not a hypergraph")
-        with timings.measure("structural"):
-            verdict = analyze_hypergraph(obj)
+        verdict = _timed(phases, "structural", analyze_hypergraph, obj)
         report["structural"] = _structural_section(verdict)
     else:
         if isinstance(obj, Polysystem):
             ensure_valid(obj)
         pattern = _to_pattern(obj)
-        with timings.measure("structural"):
-            verdict = structural_verdict(pattern)
+        verdict = _timed(phases, "structural", structural_verdict, pattern)
         report["structural"] = _structural_section(verdict)
         if args.numeric:
             if isinstance(obj, Polysystem):
                 system, seed = obj, None
             else:
                 system, seed = sample_realization(pattern, args.seed), args.seed
-            with timings.measure("numeric"):
-                rank = strong_controllability(system, tol=args.tol, cap=args.cap)
+            rank = _timed(
+                phases, "numeric", strong_controllability, system, tol=args.tol, cap=args.cap
+            )
             report["numeric"] = {
                 "rank": rank.rank,
                 "n": rank.n,
@@ -176,7 +165,7 @@ def _cmd_analyze(args) -> int:
                 "seed": seed,
             }
     if args.timings:
-        report["timings_ms"] = timings.phases
+        report["timings_ms"] = phases
     _emit(report, args)
     return 0
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .hypergraph import DirectedHypergraph, Hyperedge
+from .hypergraph import DirectedHypergraph
 from .system import Polysystem, SparsityPattern
 from .tensor import SparseTensor
 
@@ -38,9 +38,9 @@ class ParseError(ValueError):
 
 def _content_lines(text: str):
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield line_no, line.split()
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield line_no, tokens
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
@@ -50,14 +50,25 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"{what} {token!r} is not an integer") from None
 
 
-def _parse_float(token: str, line_no: int) -> float:
+def _parse_value(token: str, line_no: int) -> float:
     try:
         value = float(token)
     except ValueError:
         raise ParseError(line_no, f"value {token!r} is not a number") from None
     if not math.isfinite(value):
         raise ParseError(line_no, f"value {token!r} is not finite")
+    if value == 0.0:
+        raise ParseError(line_no, "exact-zero coefficient; drop the entry instead")
     return value
+
+
+def _parse_indices(tokens, line_no: int, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        for token in tokens:
+            _parse_int(token, line_no, what)
+        raise
 
 
 def parse_system(text: str) -> Polysystem | SparsityPattern:
@@ -65,14 +76,14 @@ def parse_system(text: str) -> Polysystem | SparsityPattern:
 
     Returns a Polysystem when entries carry values and a SparsityPattern
     when none do; mixing the two is an error, as are duplicate indices,
-    out-of-range indices, and odd tensor order.
+    out-of-range indices, and odd tensor order.  Each line is read once and
+    every error names its line.
     """
-    lines = list(_content_lines(text))
-    if not lines:
+    lines = _content_lines(text)
+    header = next(lines, None)
+    if header is None:
         raise ParseError(1, "empty input")
-    pos = 0
-
-    line_no, tokens = lines[pos]
+    line_no, tokens = header
     if len(tokens) != 3 or tokens[0] != "tensor":
         raise ParseError(line_no, "expected header 'tensor k n'")
     k = _parse_int(tokens[1], line_no, "order")
@@ -83,48 +94,41 @@ def parse_system(text: str) -> Polysystem | SparsityPattern:
         raise ParseError(line_no, f"tensor order k={k} is odd; the drift degree k-1 must be odd")
     if n < 1:
         raise ParseError(line_no, f"dimension must be >= 1, got {n}")
-    pos += 1
 
     valued: bool | None = None
-
-    def note_valued(has_value: bool, line_no: int) -> None:
-        nonlocal valued
-        if valued is None:
-            valued = has_value
-        elif valued != has_value:
-            raise ParseError(line_no, "entries mix valued and pattern-only lines")
-
-    tensor_entries: dict[tuple[int, ...], float] = {}
+    # first line of each multi-index, and its value when entries carry one
     tensor_lines: dict[tuple[int, ...], int] = {}
-    while pos < len(lines) and lines[pos][1][0] != "matrix":
-        line_no, tokens = lines[pos]
+    tensor_values: dict[tuple[int, ...], float] = {}
+    for line_no, tokens in lines:
+        if tokens[0] == "matrix":
+            break
         if len(tokens) == k:
-            note_valued(False, line_no)
-            value = 1.0
+            has_value = False
         elif len(tokens) == k + 1:
-            note_valued(True, line_no)
-            value = _parse_float(tokens[k], line_no)
-            if value == 0.0:
-                raise ParseError(line_no, "exact-zero coefficient; drop the entry instead")
+            has_value = True
         else:
             raise ParseError(
                 line_no, f"expected {k} indices with an optional value, got {len(tokens)} tokens"
             )
-        idx = tuple(_parse_int(t, line_no, "index") for t in tokens[:k])
-        for i in idx:
-            if not 1 <= i <= n:
-                raise ParseError(line_no, f"index {i} outside [1, {n}]")
-        if idx in tensor_entries:
-            raise ParseError(
-                line_no, f"duplicate multi-index {idx} (first at line {tensor_lines[idx]})"
-            )
-        tensor_entries[idx] = value
-        tensor_lines[idx] = line_no
-        pos += 1
+        if valued is None:
+            valued = has_value
+        elif valued != has_value:
+            raise ParseError(line_no, "entries mix valued and pattern-only lines")
+        if has_value:
+            value = _parse_value(tokens[k], line_no)
+            tokens = tokens[:k]
+        idx = _parse_indices(tokens, line_no, "index")
+        if min(idx) < 1 or max(idx) > n:
+            i = next(i for i in idx if not 1 <= i <= n)
+            raise ParseError(line_no, f"index {i} outside [1, {n}]")
+        first = tensor_lines.setdefault(idx, line_no)
+        if first != line_no:
+            raise ParseError(line_no, f"duplicate multi-index {idx} (first at line {first})")
+        if has_value:
+            tensor_values[idx] = value
+    else:
+        raise ParseError(line_no, "missing 'matrix n m' section")
 
-    if pos >= len(lines):
-        raise ParseError(lines[-1][0], "missing 'matrix n m' section")
-    line_no, tokens = lines[pos]
     if len(tokens) != 3:
         raise ParseError(line_no, "expected header 'matrix n m'")
     mat_n = _parse_int(tokens[1], line_no, "row count")
@@ -133,79 +137,85 @@ def parse_system(text: str) -> Polysystem | SparsityPattern:
         raise ParseError(line_no, f"matrix rows {mat_n} do not match tensor dimension {n}")
     if m < 1:
         raise ParseError(line_no, f"need at least one input column, got {m}")
-    pos += 1
 
-    control_entries: dict[tuple[int, int], float] = {}
     control_lines: dict[tuple[int, int], int] = {}
-    while pos < len(lines):
-        line_no, tokens = lines[pos]
+    control_values: dict[tuple[int, int], float] = {}
+    for line_no, tokens in lines:
         if len(tokens) == 2:
-            note_valued(False, line_no)
-            value = 1.0
+            has_value = False
         elif len(tokens) == 3:
-            note_valued(True, line_no)
-            value = _parse_float(tokens[2], line_no)
-            if value == 0.0:
-                raise ParseError(line_no, "exact-zero coefficient; drop the entry instead")
+            has_value = True
         else:
             raise ParseError(
                 line_no, f"expected 2 indices with an optional value, got {len(tokens)} tokens"
             )
+        if valued is None:
+            valued = has_value
+        elif valued != has_value:
+            raise ParseError(line_no, "entries mix valued and pattern-only lines")
+        if has_value:
+            value = _parse_value(tokens[2], line_no)
         i = _parse_int(tokens[0], line_no, "row")
         j = _parse_int(tokens[1], line_no, "column")
         if not 1 <= i <= n:
             raise ParseError(line_no, f"row {i} outside [1, {n}]")
         if not 1 <= j <= m:
             raise ParseError(line_no, f"column {j} outside [1, {m}]")
-        if (i, j) in control_entries:
-            raise ParseError(
-                line_no, f"duplicate entry ({i}, {j}) (first at line {control_lines[(i, j)]})"
-            )
-        control_entries[(i, j)] = value
-        control_lines[(i, j)] = line_no
-        pos += 1
+        first = control_lines.setdefault((i, j), line_no)
+        if first != line_no:
+            raise ParseError(line_no, f"duplicate entry ({i}, {j}) (first at line {first})")
+        if has_value:
+            control_values[(i, j)] = value
 
     if valued:
         control = np.zeros((n, m))
-        for (i, j), value in control_entries.items():
+        for (i, j), value in control_values.items():
             control[i - 1, j - 1] = value
-        return Polysystem(SparseTensor(k, n, tensor_entries), control)
+        return Polysystem(SparseTensor(k, n, tensor_values), control)
     return SparsityPattern(
         order=k,
         dim=n,
         inputs=m,
-        tensor_support=frozenset(tensor_entries),
-        control_support=frozenset(control_entries),
+        tensor_support=frozenset(tensor_lines),
+        control_support=frozenset(control_lines),
     )
 
 
+def _vertex_group(part: str, line_no: int, what: str) -> list[int]:
+    items = part.replace(",", " ").split()
+    if not items:
+        raise ParseError(line_no, f"empty {what}")
+    return [_parse_int(p, line_no, f"{what} vertex") for p in items]
+
+
 def parse_hypergraph(text: str) -> DirectedHypergraph:
-    """Parse the hypergraph format: header then one 'tail -> head' line per edge."""
-    lines = list(_content_lines(text))
-    if not lines:
+    """Parse the hypergraph format: header then one 'tail -> head' line per edge.
+
+    Edges go straight into the flat edge table, in file order.
+    """
+    lines = _content_lines(text)
+    header = next(lines, None)
+    if header is None:
         raise ParseError(1, "empty input")
-    line_no, tokens = lines[0]
+    line_no, tokens = header
     if len(tokens) != 3 or tokens[0] != "hypergraph":
         raise ParseError(line_no, "expected header 'hypergraph n m'")
     n = _parse_int(tokens[1], line_no, "state count")
     m = _parse_int(tokens[2], line_no, "input count")
+    if n < 1:
+        raise ParseError(line_no, f"need at least one state vertex, got n={n}")
+    if m < 0:
+        raise ParseError(line_no, f"input count must be >= 0, got m={m}")
 
-    edges = []
+    tail_ptr, tail_idx, head_ptr, head_idx = [0], [], [0], []
     tails_seen: dict[tuple[int, ...], int] = {}
-    for line_no, tokens in lines[1:]:
+    for line_no, tokens in lines:
         joined = " ".join(tokens)
         if joined.count("->") != 1:
             raise ParseError(line_no, "expected exactly one '->' separator")
         tail_part, head_part = joined.split("->")
-
-        def read_group(part: str, what: str) -> list[int]:
-            items = [p for p in part.replace(",", " ").split() if p]
-            if not items:
-                raise ParseError(line_no, f"empty {what}")
-            return [_parse_int(p, line_no, f"{what} vertex") for p in items]
-
-        tail = tuple(sorted(read_group(tail_part, "tail")))
-        head = read_group(head_part, "head")
+        tail = tuple(sorted(_vertex_group(tail_part, line_no, "tail")))
+        head = _vertex_group(head_part, line_no, "head")
         for v in tail:
             if not 1 <= v <= n + m:
                 raise ParseError(line_no, f"tail vertex {v} outside [1, {n + m}]")
@@ -214,16 +224,14 @@ def parse_hypergraph(text: str) -> DirectedHypergraph:
                 raise ParseError(
                     line_no, f"head vertex {v} outside the state range [1, {n}]"
                 )
-        if tail in tails_seen:
-            raise ParseError(
-                line_no, f"duplicate tail {tail} (first at line {tails_seen[tail]})"
-            )
-        tails_seen[tail] = line_no
-        edges.append(Hyperedge(tail, frozenset(head)))
-    try:
-        return DirectedHypergraph(n, m, tuple(edges))
-    except ValueError as exc:
-        raise ParseError(lines[0][0], str(exc)) from None
+        first = tails_seen.setdefault(tail, line_no)
+        if first != line_no:
+            raise ParseError(line_no, f"duplicate tail {tail} (first at line {first})")
+        tail_idx.extend(tail)
+        tail_ptr.append(len(tail_idx))
+        head_idx.extend(sorted(set(head)))
+        head_ptr.append(len(head_idx))
+    return DirectedHypergraph.from_table(n, m, tail_ptr, tail_idx, head_ptr, head_idx)
 
 
 def parse_input(text: str) -> Polysystem | SparsityPattern | DirectedHypergraph:

@@ -5,25 +5,27 @@ carries a tail multiset (the monomial variables) and a head set (the
 coordinates the monomial feeds).  Tensor entries sharing a tail multiset
 collapse into one hyperedge; each control column becomes an edge from its
 input vertex to the rows it touches.
+
+The graph is one flat edge table in CSR form: edge e has the sorted tail
+multiset ``tail_idx[tail_ptr[e]:tail_ptr[e + 1]]`` and the ascending head set
+``head_idx[head_ptr[e]:head_ptr[e + 1]]``.  The structural algorithms loop
+over these tuples directly; ``edges`` reads them back as ``Hyperedge``s.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import permutations
-from math import factorial
 from typing import Iterable
 
+import numpy as np
+
 from .system import SparsityPattern
-from .tensor import SparseTensor
 
 __all__ = [
     "DirectedHypergraph",
     "Hyperedge",
-    "StarGraph",
     "build_hypergraph",
-    "star_expansion",
-    "uniform_adjacency_tensor",
 ]
 
 
@@ -49,39 +51,122 @@ class Hyperedge:
         return frozenset(self.tail)
 
 
-@dataclass(frozen=True)
+class _EdgeView(Sequence):
+    """The edge table read as a tuple of Hyperedges.
+
+    ``len()`` reads the offsets only; any other access builds the tuple once
+    and keeps it.  The view holds the table's tuples, not the graph, so the
+    two form no reference cycle.
+    """
+
+    __slots__ = ("_table", "_items")
+
+    def __init__(self, table: tuple) -> None:
+        self._table = table
+        self._items: tuple[Hyperedge, ...] | None = None
+
+    def _all(self) -> tuple[Hyperedge, ...]:
+        if self._items is None:
+            tp, ti, hp, hi = self._table
+            self._items = tuple(
+                Hyperedge(ti[tp[e]:tp[e + 1]], frozenset(hi[hp[e]:hp[e + 1]]))
+                for e in range(len(tp) - 1)
+            )
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._table[0]) - 1
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _EdgeView)):
+            return self._all() == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._all())
+
+
 class DirectedHypergraph:
-    """n state vertices, m input vertices, and a tuple of hyperedges.
+    """n state vertices, m input vertices, and a table of hyperedges.
 
     Tails are unique across edges; heads never contain input vertices
     (inputs have no dynamics of their own).  Edge order is preserved and is
-    the tie-break order for everything downstream.
+    the tie-break order for everything downstream.  Constructing from
+    ``Hyperedge``s checks all of this; ``from_table`` wraps a table that is
+    already valid.
     """
 
-    n: int
-    m: int
-    edges: tuple[Hyperedge, ...]
+    __slots__ = ("n", "m", "tail_ptr", "tail_idx", "head_ptr", "head_idx", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one state vertex, got n={self.n}")
-        if self.m < 0:
-            raise ValueError(f"input count must be >= 0, got m={self.m}")
-        edges = tuple(self.edges)
-        total = self.n + self.m
+    def __init__(self, n: int, m: int, edges: Iterable[Hyperedge]) -> None:
+        if n < 1:
+            raise ValueError(f"need at least one state vertex, got n={n}")
+        if m < 0:
+            raise ValueError(f"input count must be >= 0, got m={m}")
+        edges = tuple(edges)
+        total = n + m
+        tail_ptr, tail_idx, head_ptr, head_idx = [0], [], [0], []
         seen_tails = set()
         for edge in edges:
-            if any(not 1 <= v <= total for v in edge.tail):
-                raise ValueError(f"tail {edge.tail} outside vertex range [1, {total}]")
-            if any(not 1 <= v <= self.n for v in edge.head):
+            tail = edge.tail
+            head = sorted(edge.head)
+            if tail[0] < 1 or tail[-1] > total:
+                raise ValueError(f"tail {tail} outside vertex range [1, {total}]")
+            if head[0] < 1 or head[-1] > n:
                 raise ValueError(
-                    f"head {sorted(edge.head)} contains a non-state vertex "
-                    f"(state range is [1, {self.n}])"
+                    f"head {head} contains a non-state vertex (state range is [1, {n}])"
                 )
-            if edge.tail in seen_tails:
-                raise ValueError(f"duplicate tail {edge.tail}")
-            seen_tails.add(edge.tail)
-        object.__setattr__(self, "edges", edges)
+            if tail in seen_tails:
+                raise ValueError(f"duplicate tail {tail}")
+            seen_tails.add(tail)
+            tail_idx.extend(tail)
+            tail_ptr.append(len(tail_idx))
+            head_idx.extend(head)
+            head_ptr.append(len(head_idx))
+        self._fill(n, m, tail_ptr, tail_idx, head_ptr, head_idx, edges)
+
+    @classmethod
+    def from_table(cls, n, m, tail_ptr, tail_idx, head_ptr, head_idx) -> DirectedHypergraph:
+        """Wrap a CSR edge table without checking it: tails sorted and
+        unique, heads ascending state vertices, vertices in range."""
+        graph = cls.__new__(cls)
+        graph._fill(n, m, tail_ptr, tail_idx, head_ptr, head_idx, None)
+        return graph
+
+    def _fill(self, n, m, tail_ptr, tail_idx, head_ptr, head_idx, edges) -> None:
+        # A graph built from Hyperedges keeps their tuple as ``edges``; one
+        # built from a table reads its Hyperedges back only when asked.
+        table = (tuple(tail_ptr), tuple(tail_idx), tuple(head_ptr), tuple(head_idx))
+        if edges is None:
+            edges = _EdgeView(table)
+        for name, value in zip(self.__slots__, (n, m, *table, edges)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DirectedHypergraph is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return DirectedHypergraph.from_table, self._key()
+
+    def _key(self) -> tuple:
+        return (self.n, self.m, self.tail_ptr, self.tail_idx, self.head_ptr, self.head_idx)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, DirectedHypergraph):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"DirectedHypergraph(n={self.n}, m={self.m}, edges={self.edges!r})"
 
     @property
     def state_vertices(self) -> frozenset[int]:
@@ -92,87 +177,78 @@ class DirectedHypergraph:
         return frozenset(range(self.n + 1, self.n + self.m + 1))
 
 
+# Below this many tensor entries the grouping sorts Python lists: numpy's
+# fixed cost per call then outweighs the sort it speeds up.
+_NUMPY_GROUPING_MIN = 32
+
+
+def _group_tensor(pattern: SparsityPattern) -> tuple[list[int], list[int], list[int]]:
+    """Group tensor entries into edges by sorted tail, in ascending (tail,
+    head) order.
+
+    Returns the edges' tails, flattened, and their heads in CSR form
+    (offsets, then indices).  A head repeated under one tail, which comes
+    from a permuted tail, appears once.
+    """
+    support = pattern.tensor_support
+    if len(support) < _NUMPY_GROUPING_MIN:
+        tail_idx: list[int] = []
+        head_ptr: list[int] = []
+        head_idx: list[int] = []
+        previous = None
+        for *tail, head in sorted([*sorted(idx[:-1]), idx[-1]] for idx in support):
+            if tail != previous:
+                tail_idx.extend(tail)
+                head_ptr.append(len(head_idx))
+                head_idx.append(head)
+                previous = tail
+            elif head != head_idx[-1]:
+                head_idx.append(head)
+        head_ptr.append(len(head_idx))
+        return tail_idx, head_ptr, head_idx
+
+    # Sort each tail row, then the rows by (tail, head): entries of one tail
+    # multiset become adjacent, heads ascending.  An edge starts where the
+    # tail changes; a row equal to the one before it is dropped.
+    rows = pattern.tensor_index.copy()
+    rows[:, :-1].sort(axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    change = rows[1:] != rows[:-1]
+    starts = np.ones(len(rows), dtype=bool)
+    np.any(change[:, :-1], axis=1, out=starts[1:])
+    keep = starts.copy()
+    keep[1:] |= change[:, -1]
+    head_idx = rows[keep, -1].tolist()
+    head_ptr = np.flatnonzero(starts[keep]).tolist()
+    head_ptr.append(len(head_idx))
+    return rows[starts, :-1].ravel().tolist(), head_ptr, head_idx
+
+
 def build_hypergraph(pattern: SparsityPattern) -> DirectedHypergraph:
     """Group a pattern's support into hyperedges.
 
     Control edges come first (by column), then tensor edges sorted by tail
     multiset.  Tensor entries with the same tail multiset merge into a single
-    edge whose head collects their head indices.
+    edge whose head collects their head indices.  The pattern is already
+    validated, so the grouped table is wrapped without further checks.
     """
-    heads_by_tail: dict[tuple[int, ...], set[int]] = {}
-    for idx in sorted(pattern.tensor_support):
-        tail = tuple(sorted(idx[:-1]))
-        heads_by_tail.setdefault(tail, set()).add(idx[-1])
-    rows_by_column: dict[int, set[int]] = {}
+    n = pattern.dim
+    rows_by_column: dict[int, list[int]] = {}
     for i, j in sorted(pattern.control_support):
-        rows_by_column.setdefault(j, set()).add(i)
+        rows_by_column.setdefault(j, []).append(i)
+    tail_ptr, tail_idx, head_ptr, head_idx = [0], [], [0], []
+    for j in sorted(rows_by_column):
+        tail_idx.append(n + j)
+        tail_ptr.append(len(tail_idx))
+        head_idx.extend(rows_by_column[j])
+        head_ptr.append(len(head_idx))
 
-    edges = [
-        Hyperedge((pattern.dim + j,), frozenset(rows))
-        for j, rows in sorted(rows_by_column.items())
-    ]
-    edges.extend(
-        Hyperedge(tail, frozenset(heads))
-        for tail, heads in sorted(heads_by_tail.items())
+    tails, heads_ptr, heads = _group_tensor(pattern)
+    width = pattern.order - 1
+    tail_ptr.extend(range(len(tail_idx) + width, len(tail_idx) + len(tails) + 1, width))
+    tail_idx.extend(tails)
+    head_ptr.extend(len(head_idx) + p for p in heads_ptr[1:])
+    head_idx.extend(heads)
+    return DirectedHypergraph.from_table(
+        n, pattern.inputs, tail_ptr, tail_idx, head_ptr, head_idx
     )
-    return DirectedHypergraph(pattern.dim, pattern.inputs, tuple(edges))
-
-
-@dataclass(frozen=True)
-class StarGraph:
-    """Bipartite digraph with one left vertex per hyperedge.
-
-    ``tail_arcs`` holds (vertex, edge index) pairs, one per distinct tail
-    vertex; ``head_arcs`` holds (edge index, vertex) pairs.
-    """
-
-    edge_count: int
-    vertex_count: int
-    tail_arcs: tuple[tuple[int, int], ...]
-    head_arcs: tuple[tuple[int, int], ...]
-
-    @property
-    def arc_count(self) -> int:
-        return len(self.tail_arcs) + len(self.head_arcs)
-
-
-def star_expansion(graph: DirectedHypergraph) -> StarGraph:
-    """Standard star expansion; arcs run tail vertex -> edge -> head vertex."""
-    tail_arcs = []
-    head_arcs = []
-    for e, edge in enumerate(graph.edges):
-        tail_arcs.extend((v, e) for v in sorted(edge.tail_support))
-        head_arcs.extend((e, v) for v in sorted(edge.head))
-    return StarGraph(
-        edge_count=len(graph.edges),
-        vertex_count=graph.n + graph.m,
-        tail_arcs=tuple(tail_arcs),
-        head_arcs=tuple(head_arcs),
-    )
-
-
-def uniform_adjacency_tensor(
-    edges: Iterable[Iterable[int]], dim: int, order: int
-) -> SparseTensor:
-    """Adjacency tensor of a k-uniform undirected hypergraph.
-
-    Each edge must have exactly ``order`` distinct vertices; every
-    permutation of the edge gets the entry 1/(k-1)!, which makes the result
-    supersymmetric.
-    """
-    weight = 1.0 / factorial(order - 1)
-    entries: dict[tuple[int, ...], float] = {}
-    seen: set[frozenset[int]] = set()
-    for edge in edges:
-        vertices = tuple(int(v) for v in edge)
-        if len(set(vertices)) != order or len(vertices) != order:
-            raise ValueError(
-                f"edge {vertices} does not have exactly {order} distinct vertices"
-            )
-        key = frozenset(vertices)
-        if key in seen:
-            raise ValueError(f"duplicate edge {sorted(key)}")
-        seen.add(key)
-        for perm in permutations(vertices):
-            entries[perm] = weight
-    return SparseTensor(order, dim, entries)

@@ -11,6 +11,7 @@ neither occurs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .hypergraph import DirectedHypergraph, build_hypergraph
 from .system import SparsityPattern
@@ -39,11 +40,15 @@ class DilationResult:
     matching: tuple[tuple[int, int], ...]
 
 
-def _head_adjacency(graph: DirectedHypergraph) -> dict[int, list[int]]:
-    edges_of_vertex: dict[int, list[int]] = {v: [] for v in range(1, graph.n + 1)}
-    for e, edge in enumerate(graph.edges):
-        for v in sorted(edge.head):
+def _edges_of_vertex(n: int, head_ptr, head_idx) -> list[list[int]]:
+    """For each state vertex (index 0 unused), the edges whose head holds
+    it, in ascending edge order."""
+    edges_of_vertex: list[list[int]] = [[] for _ in range(n + 1)]
+    start = 0
+    for e, end in enumerate(head_ptr[1:]):
+        for v in head_idx[start:end]:
             edges_of_vertex[v].append(e)
+        start = end
     return edges_of_vertex
 
 
@@ -53,44 +58,70 @@ def detect_dilation(graph: DirectedHypergraph) -> DilationResult:
     A maximum matching smaller than n certifies a dilation; the witness is
     the set of state vertices alternating-reachable from the unmatched ones,
     which violates the covering inequality by construction.  Vertices and
-    their candidate edges are tried in input order, so the matching is
-    deterministic.
+    their candidate edges are tried in ascending order, depth first, so the
+    matching is deterministic.  The augmenting search keeps its path on an
+    explicit stack, so long paths need no recursion.
     """
-    edges_of_vertex = _head_adjacency(graph)
-    edge_to_vertex: dict[int, int] = {}
-    vertex_to_edge: dict[int, int] = {}
+    n = graph.n
+    edges_of_vertex = _edges_of_vertex(n, graph.head_ptr, graph.head_idx)
+    owner = [0] * (len(graph.head_ptr) - 1)  # vertex matched to each edge, 0 if free
+    visited = owner[:]  # root of the last search that tried the edge
 
-    def try_augment(v: int, visited: set[int]) -> bool:
-        for e in edges_of_vertex[v]:
-            if e in visited:
+    for root in range(1, n + 1):
+        candidates = edges_of_vertex[root]
+        if not candidates:
+            continue
+        # the search below would take a free first candidate at once
+        e = candidates[0]
+        if not owner[e]:
+            owner[e] = root
+            continue
+        # path[d] tries its edges from cursor[d] on; via[d] is the matched
+        # edge path[d] is trying to take over from path[d + 1].
+        path, cursor, via = [root], [0], []
+        while path:
+            candidates = edges_of_vertex[path[-1]]
+            i = cursor[-1]
+            while i < len(candidates) and visited[candidates[i]] == root:
+                i += 1
+            if i == len(candidates):
+                path.pop()
+                cursor.pop()
+                if via:
+                    via.pop()
                 continue
-            visited.add(e)
-            owner = edge_to_vertex.get(e)
-            if owner is None or try_augment(owner, visited):
-                edge_to_vertex[e] = v
-                vertex_to_edge[v] = e
-                return True
-        return False
+            cursor[-1] = i + 1
+            e = candidates[i]
+            visited[e] = root
+            if owner[e]:
+                via.append(e)
+                path.append(owner[e])
+                cursor.append(0)
+                continue
+            # Augment: the last vertex takes the free edge, and every earlier
+            # one takes the edge it was trying to free.
+            owner[e] = path[-1]
+            for v, taken in zip(path, via):
+                owner[taken] = v
+            break
 
-    for v in range(1, graph.n + 1):
-        try_augment(v, set())
-
-    matching = tuple(sorted((e, v) for e, v in edge_to_vertex.items()))
-    if len(matching) == graph.n:
+    matched = list(filter(None, owner))
+    matching = tuple(zip(compress(range(len(owner)), owner), matched))
+    if len(matched) == n:
         return DilationResult(False, None, matching)
 
     # Alternating reachability from every unmatched state vertex: each edge
     # seen is matched (else an augmenting path existed), and its partner
     # joins the set, so covering edges number |set| minus the unmatched.
-    reach = {v for v in range(1, graph.n + 1) if v not in vertex_to_edge}
+    reach = set(range(1, n + 1)).difference(matched)
     stack = list(reach)
     while stack:
         v = stack.pop()
         for e in edges_of_vertex[v]:
-            owner = edge_to_vertex.get(e)
-            if owner is not None and owner not in reach:
-                reach.add(owner)
-                stack.append(owner)
+            partner = owner[e]
+            if partner and partner not in reach:
+                reach.add(partner)
+                stack.append(partner)
     return DilationResult(True, frozenset(reach), matching)
 
 
@@ -98,28 +129,39 @@ def accessible_set(graph: DirectedHypergraph) -> frozenset[int]:
     """Least fixed point of hyperedge firing from the input vertices.
 
     An edge fires once every distinct tail vertex is accessible; its head
-    then becomes accessible.  Each edge is consumed at most once.
+    then becomes accessible.  Each edge is consumed at most once: it keeps a
+    count of tail state vertices not yet reached and fires when it hits 0.
     """
-    accessible = set(graph.input_vertices)
-    waiting: dict[int, list[int]] = {}
+    n = graph.n
+    tail_ptr, tail_idx = graph.tail_ptr, graph.tail_idx
+    head_ptr, head_idx = graph.head_ptr, graph.head_idx
+    waiting: list[list[int]] = [[] for _ in range(n + 1)]
     remaining: list[int] = []
     ready: list[int] = []
-    for e, edge in enumerate(graph.edges):
-        missing = edge.tail_support - accessible
-        remaining.append(len(missing))
-        if missing:
-            for v in missing:
-                waiting.setdefault(v, []).append(e)
-        else:
+    start = 0
+    for e, end in enumerate(tail_ptr[1:]):
+        missing = 0
+        previous = 0
+        # tails are sorted, so a repeated vertex follows its first copy;
+        # vertices above n are inputs, accessible from the start
+        for v in tail_idx[start:end]:
+            if v != previous and v <= n:
+                missing += 1
+                waiting[v].append(e)
+            previous = v
+        start = end
+        remaining.append(missing)
+        if not missing:
             ready.append(e)
 
+    accessible = set(range(n + 1, n + graph.m + 1))
     while ready:
         e = ready.pop()
-        for v in sorted(graph.edges[e].head):
+        for v in head_idx[head_ptr[e]:head_ptr[e + 1]]:
             if v in accessible:
                 continue
             accessible.add(v)
-            for e2 in waiting.get(v, ()):
+            for e2 in waiting[v]:
                 remaining[e2] -= 1
                 if remaining[e2] == 0:
                     ready.append(e2)

@@ -8,7 +8,8 @@ with coefficients bounded away from zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -87,12 +88,44 @@ def ensure_valid(system: Polysystem) -> None:
         raise ValueError("invalid system: " + "; ".join(violations))
 
 
+def _support_index(support, width: int, what: str) -> tuple[frozenset, np.ndarray]:
+    """A support as a frozenset of int tuples and as an int64 array of
+    shape (len(support), width), rows in the frozenset's iteration order.
+
+    Every tuple must have ``width`` entries; entries that are not ints are
+    converted as ``int()`` would.  The checks run over the whole support in
+    builtins and numpy, not tuple by tuple.
+    """
+    if not isinstance(support, frozenset):
+        support = frozenset(map(tuple, support))
+    if set(map(len, support)) - {width}:
+        idx = next(idx for idx in support if len(idx) != width)
+        raise ValueError(f"{what} {idx} has {len(idx)} modes, expected {width}")
+    if set(map(type, chain.from_iterable(support))) - {int}:
+        support = frozenset(zip(*[map(int, chain.from_iterable(support))] * width))
+    try:
+        index = np.fromiter(
+            chain.from_iterable(support), dtype=np.int64, count=len(support) * width
+        )
+    except OverflowError:
+        raise ValueError(f"{what} entries outside the int64 range") from None
+    index = index.reshape(len(support), width)
+    index.setflags(write=False)
+    return support, index
+
+
+def _outside(values: np.ndarray, high: int) -> bool:
+    return values.size > 0 and (values.min() < 1 or values.max() > high)
+
+
 @dataclass(frozen=True)
 class SparsityPattern:
     """Structural support of a system: which coefficients may be nonzero.
 
     ``tensor_support`` holds 1-based multi-indices of length ``order``;
     ``control_support`` holds (row, column) pairs of the control matrix.
+    ``tensor_index`` holds the tensor support as a read-only (nnz, order)
+    int64 array, rows in the support's iteration order.
     """
 
     order: int
@@ -100,6 +133,7 @@ class SparsityPattern:
     inputs: int
     tensor_support: frozenset[tuple[int, ...]]
     control_support: frozenset[tuple[int, int]]
+    tensor_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order < 2:
@@ -108,18 +142,19 @@ class SparsityPattern:
             raise ValueError(f"pattern dimension must be >= 1, got {self.dim}")
         if self.inputs < 1:
             raise ValueError(f"pattern needs at least one input, got {self.inputs}")
-        tsup = frozenset(tuple(int(i) for i in idx) for idx in self.tensor_support)
-        csup = frozenset((int(i), int(j)) for i, j in self.control_support)
-        for idx in tsup:
-            if len(idx) != self.order:
-                raise ValueError(f"multi-index {idx} has {len(idx)} modes, expected {self.order}")
-            if any(not 1 <= i <= self.dim for i in idx):
-                raise ValueError(f"multi-index {idx} outside [1, {self.dim}]")
-        for i, j in csup:
-            if not 1 <= i <= self.dim or not 1 <= j <= self.inputs:
-                raise ValueError(f"control index ({i}, {j}) out of range")
+        tsup, tensor_index = _support_index(self.tensor_support, self.order, "multi-index")
+        if _outside(tensor_index, self.dim):
+            idx = next(idx for idx in tsup if min(idx) < 1 or max(idx) > self.dim)
+            raise ValueError(f"multi-index {idx} outside [1, {self.dim}]")
+        csup, control_index = _support_index(self.control_support, 2, "control index")
+        if _outside(control_index[:, 0], self.dim) or _outside(control_index[:, 1], self.inputs):
+            idx = next(
+                (i, j) for i, j in csup if not (1 <= i <= self.dim and 1 <= j <= self.inputs)
+            )
+            raise ValueError(f"control index {idx} out of range")
         object.__setattr__(self, "tensor_support", tsup)
         object.__setattr__(self, "control_support", csup)
+        object.__setattr__(self, "tensor_index", tensor_index)
 
 
 def sparsity_pattern(system: Polysystem) -> SparsityPattern:

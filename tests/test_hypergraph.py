@@ -1,4 +1,7 @@
-"""Hypergraph construction: grouping rule, star expansion, adjacency tensors."""
+"""Hypergraph construction: grouping rule, the flat edge table and its checks."""
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -9,13 +12,8 @@ from conftest import (
     self_loop_system,
     shared_input_system,
 )
-from polyctrl.hypergraph import (
-    DirectedHypergraph,
-    Hyperedge,
-    build_hypergraph,
-    star_expansion,
-    uniform_adjacency_tensor,
-)
+from polyctrl.generate import random_pattern
+from polyctrl.hypergraph import DirectedHypergraph, Hyperedge, build_hypergraph
 from polyctrl.system import SparsityPattern, sparsity_pattern
 
 
@@ -150,60 +148,130 @@ def test_vertex_partitions():
     assert DirectedHypergraph(1, 0, ()).input_vertices == frozenset()
 
 
-# --- star expansion ---
+# --- the edge table against the dict-based grouping ---
 
 
-def test_star_expansion_of_chain():
-    star = star_expansion(graph_of(linear_chain_system()))
-    assert star.edge_count == 2
-    assert star.vertex_count == 3
-    assert star.tail_arcs == ((3, 0), (1, 1))
-    assert star.head_arcs == ((0, 1), (1, 2))
-    assert star.arc_count == 4
+def dict_grouping(pattern: SparsityPattern) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Reference: the dict-based grouping build_hypergraph used before the
+    edge table, as (tail, ascending heads) per edge in edge order."""
+    heads_by_tail: dict[tuple[int, ...], set[int]] = {}
+    for idx in sorted(pattern.tensor_support):
+        heads_by_tail.setdefault(tuple(sorted(idx[:-1])), set()).add(idx[-1])
+    rows_by_column: dict[int, set[int]] = {}
+    for i, j in sorted(pattern.control_support):
+        rows_by_column.setdefault(j, set()).add(i)
+    edges = [((pattern.dim + j,), sorted(rows)) for j, rows in sorted(rows_by_column.items())]
+    edges.extend((tail, sorted(heads)) for tail, heads in sorted(heads_by_tail.items()))
+    return edges
 
 
-def test_star_expansion_of_shared_input():
-    star = star_expansion(graph_of(shared_input_system()))
-    assert star.tail_arcs == ((3, 0),)
-    assert star.head_arcs == ((0, 1), (0, 2))
-    assert star.arc_count == 3
+def table_edges(graph: DirectedHypergraph) -> list[tuple[tuple[int, ...], list[int]]]:
+    tp, hp = graph.tail_ptr, graph.head_ptr
+    return [
+        (tuple(graph.tail_idx[tp[e]:tp[e + 1]]), list(graph.head_idx[hp[e]:hp[e + 1]]))
+        for e in range(len(tp) - 1)
+    ]
 
 
-def test_star_expansion_collapses_tail_multiset():
-    star = star_expansion(graph_of(cubic_forward_system()))
-    # tail (1,1,1) contributes a single arc for vertex 1
-    assert star.tail_arcs == ((3, 0), (1, 1))
-    assert star.head_arcs == ((0, 1), (1, 2))
+def assert_matches_reference(pattern: SparsityPattern) -> None:
+    graph = build_hypergraph(pattern)
+    expected = dict_grouping(pattern)
+    assert table_edges(graph) == expected
+    assert len(graph.edges) == len(expected)
+    assert graph == DirectedHypergraph(
+        pattern.dim, pattern.inputs, tuple(Hyperedge(t, frozenset(h)) for t, h in expected)
+    )
 
 
-# --- adjacency tensors ---
+# (n, k, tensor nnz): below and above the 32 entries at which the grouping
+# moves to numpy; the dense ones at small n hold many permuted tails.
+RANDOM_SHAPES = [
+    (3, 2, 6), (6, 2, 31), (6, 2, 32), (20, 2, 200),
+    (2, 4, 12), (3, 4, 31), (3, 4, 60), (30, 4, 200),
+    (2, 6, 20), (3, 6, 300), (10, 6, 200),
+]
 
 
-def test_uniform_adjacency_tensor_single_triangle():
-    tensor = uniform_adjacency_tensor([(1, 2, 3)], dim=3, order=3)
-    assert len(tensor.entries) == 6
-    assert all(value == 0.5 for value in tensor.entries.values())
-    assert tensor.entries[(3, 1, 2)] == 0.5
+@pytest.mark.parametrize("n, k, nnz", RANDOM_SHAPES)
+@pytest.mark.parametrize("seed", range(5))
+def test_table_matches_dict_grouping_on_random_patterns(n, k, nnz, seed):
+    assert_matches_reference(random_pattern(n, k, 2, nnz, 1 + seed % n, seed))
 
 
-def test_uniform_adjacency_tensor_two_edges():
-    tensor = uniform_adjacency_tensor([(1, 2, 3), (1, 2, 4)], dim=4, order=3)
-    assert len(tensor.entries) == 12
+def test_control_only_pattern():
+    pattern = SparsityPattern(4, 3, 2, frozenset(), frozenset({(3, 2), (1, 2), (2, 1)}))
+    assert_matches_reference(pattern)
+    assert build_hypergraph(pattern).edges == (
+        Hyperedge((4,), frozenset({2})),
+        Hyperedge((5,), frozenset({1, 3})),
+    )
 
 
-def test_uniform_adjacency_tensor_is_supersymmetric():
-    from itertools import permutations
+def test_permuted_tails_with_the_same_head_give_one_head():
+    pattern = SparsityPattern(
+        order=4,
+        dim=4,
+        inputs=1,
+        tensor_support=frozenset({(1, 2, 3, 4), (2, 1, 3, 4), (3, 2, 1, 4), (2, 1, 3, 1)}),
+        control_support=frozenset({(1, 1)}),
+    )
+    graph = build_hypergraph(pattern)
+    assert graph.tail_idx == (5, 1, 2, 3)
+    assert graph.head_idx == (1, 1, 4)
+    assert graph.head_ptr == (0, 1, 3)
+    assert_matches_reference(pattern)
 
-    tensor = uniform_adjacency_tensor([(1, 3, 4), (2, 3, 4)], dim=4, order=3)
-    for idx, value in tensor.entries.items():
-        for perm in permutations(idx):
-            assert tensor.entries[perm] == value
+
+def test_one_control_column_with_several_rows():
+    pattern = SparsityPattern(
+        order=2,
+        dim=5,
+        inputs=1,
+        tensor_support=frozenset({(1, 2)}),
+        control_support=frozenset({(5, 1), (2, 1), (4, 1)}),
+    )
+    graph = build_hypergraph(pattern)
+    assert graph.edges == (
+        Hyperedge((6,), frozenset({2, 4, 5})),
+        Hyperedge((1,), frozenset({2})),
+    )
+    assert_matches_reference(pattern)
 
 
-def test_uniform_adjacency_tensor_rejects_bad_edges():
-    with pytest.raises(ValueError, match="distinct"):
-        uniform_adjacency_tensor([(1, 1, 2)], dim=3, order=3)
-    with pytest.raises(ValueError, match="distinct"):
-        uniform_adjacency_tensor([(1, 2)], dim=3, order=3)
-    with pytest.raises(ValueError, match="duplicate"):
-        uniform_adjacency_tensor([(1, 2, 3), (3, 2, 1)], dim=3, order=3)
+@pytest.mark.parametrize(
+    "tensor, control, fragment",
+    [
+        ({(1, 1, 1, 3)}, {(1, 1)}, "outside"),
+        ({(0, 1, 1, 2)}, {(1, 1)}, "outside"),
+        ({(1, 1, 2)}, {(1, 1)}, "modes"),
+        ({(1, 1, 1, 2), (1, 1, 1, 1, 2)}, {(1, 1)}, "modes"),
+        (set(), {(3, 1)}, "out of range"),
+        (set(), {(1, 2)}, "out of range"),
+        (set(), {(1, 1, 1)}, "modes"),
+        ({(2**70, 1, 1, 1)}, {(1, 1)}, "int64"),
+    ],
+)
+def test_pattern_rejects_bad_indices(tensor, control, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        SparsityPattern(4, 2, 1, frozenset(tensor), frozenset(control))
+
+
+def test_pattern_normalizes_index_types():
+    pattern = SparsityPattern(2, 2, 1, [[np.int64(1), 2], (True, 2.0)], [(1, 1)])
+    assert pattern.tensor_support == frozenset({(1, 2)})
+    assert all(type(i) is int for i in next(iter(pattern.tensor_support)))
+
+
+def test_len_of_edges_does_not_build_hyperedges():
+    graph = build_hypergraph(random_pattern(50, 4, 2, 150, 5, 0))
+    assert len(graph.edges) == len(graph.tail_ptr) - 1
+    assert graph.edges._items is None
+
+
+def test_graph_is_immutable_and_survives_pickle_and_copy():
+    graph = build_hypergraph(random_pattern(6, 4, 2, 40, 3, 1))
+    for clone in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+        assert clone == graph
+        assert clone.edges == graph.edges
+    with pytest.raises(AttributeError):
+        graph.n = 3

@@ -1,6 +1,9 @@
 """Matching-based dilation test and the firing fixed point, cross-checked."""
 
+import io
+import json
 import time
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +15,12 @@ from conftest import (
     self_loop_system,
     shared_input_system,
 )
-from polyctrl.generate import random_hypergraph
+from polyctrl.cli import run
+from polyctrl.generate import random_hypergraph, random_pattern
 from polyctrl.hypergraph import DirectedHypergraph, Hyperedge, build_hypergraph
 from polyctrl.oracle import brute_force_dilation
 from polyctrl.structural import (
+    DilationResult,
     accessible_set,
     analyze_hypergraph,
     detect_dilation,
@@ -110,6 +115,103 @@ def test_matching_pairs_are_consistent():
         assert len(set(vertices_used)) == len(vertices_used)
         for e, v in result.matching:
             assert v in graph.edges[e].head
+
+
+def recursive_dilation(graph: DirectedHypergraph) -> DilationResult:
+    """Reference: the recursive augmenting matcher detect_dilation used
+    before the explicit stack.  Its depth grows with the augmenting path,
+    so it only serves graphs well inside the recursion limit."""
+    edges_of_vertex: dict[int, list[int]] = {v: [] for v in range(1, graph.n + 1)}
+    for e, edge in enumerate(graph.edges):
+        for v in sorted(edge.head):
+            edges_of_vertex[v].append(e)
+    edge_to_vertex: dict[int, int] = {}
+    vertex_to_edge: dict[int, int] = {}
+
+    def try_augment(v: int, visited: set[int]) -> bool:
+        for e in edges_of_vertex[v]:
+            if e in visited:
+                continue
+            visited.add(e)
+            owner = edge_to_vertex.get(e)
+            if owner is None or try_augment(owner, visited):
+                edge_to_vertex[e] = v
+                vertex_to_edge[v] = e
+                return True
+        return False
+
+    for v in range(1, graph.n + 1):
+        try_augment(v, set())
+    matching = tuple(sorted(edge_to_vertex.items()))
+    if len(matching) == graph.n:
+        return DilationResult(False, None, matching)
+    reach = {v for v in range(1, graph.n + 1) if v not in vertex_to_edge}
+    stack = list(reach)
+    while stack:
+        v = stack.pop()
+        for e in edges_of_vertex[v]:
+            owner = edge_to_vertex.get(e)
+            if owner is not None and owner not in reach:
+                reach.add(owner)
+                stack.append(owner)
+    return DilationResult(True, frozenset(reach), matching)
+
+
+def test_matching_equals_recursive_reference_on_random_hypergraphs():
+    for seed in range(300):
+        graph = random_hypergraph(seed)
+        assert detect_dilation(graph) == recursive_dilation(graph), seed
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matching_equals_recursive_reference_on_larger_patterns(seed):
+    n = 150
+    graph = build_hypergraph(random_pattern(n, 4 if seed % 2 else 2, 2, 2 * n, 3, seed))
+    assert detect_dilation(graph) == recursive_dilation(graph)
+
+
+def cli_json(argv) -> dict:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(argv) == 0
+    return json.loads(out.getvalue())
+
+
+def test_long_augmenting_paths_do_not_recurse(tmp_path):
+    # Vertex v tries edge v-1 (owned by v-1) before its own edge, so the
+    # search for vertex v walks the whole chain below it.
+    n = 2000
+    lines = [f"hypergraph {n} 1", f"{n + 1} -> {n}"]
+    lines.extend(f"{i} -> {i},{i + 1}" for i in range(1, n))
+    path = tmp_path / "chain.txt"
+    path.write_text("\n".join(lines) + "\n")
+    expected = [[0, n]] + [[i, i] for i in range(1, n)]
+
+    report = cli_json(["dilation", str(path), "--json"])
+    assert report["dilated"] is False
+    assert report["matching"] == expected
+    report = cli_json(["analyze", str(path), "--json"])
+    assert report["structural"]["matching"] == expected
+
+
+def test_one_augmenting_path_through_a_large_pattern(tmp_path):
+    # k=2 pattern: input 1 feeds vertex 1; tail n-v feeds vertices v and v+1.
+    # Vertices 2..n-1 each take the edge of tail n-v first, so vertex n
+    # finds its edge only along one augmenting path through all of them.
+    n = 6000
+    lines = [f"tensor 2 {n}"]
+    for t in range(1, n):
+        lines.extend([f"{t} {n - t}", f"{t} {n - t + 1}"])
+    lines.extend([f"matrix {n} 1", "1 1"])
+    path = tmp_path / "pattern.txt"
+    path.write_text("\n".join(lines) + "\n")
+
+    report = cli_json(["analyze", str(path), "--json"])["structural"]
+    assert report["dilated"] is False
+    assert len(report["matching"]) == n
+    assert report["matching"][0] == [0, 1]
+    # edge e >= 1 has tail e, heads n-e and n-e+1; vertex v ends on tail n-v+1
+    assert report["matching"][1:] == [[e, n - e + 1] for e in range(1, n)]
 
 
 # --- accessibility ---
