@@ -46,6 +46,7 @@ from .tensor import (
     CapacityError,
     SparseTensor,
     contract,
+    contract_multi,
     kron_power,
     unfold,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "brute_force_dilation",
     "build_hypergraph",
     "contract",
+    "contract_multi",
     "detect_dilation",
     "explicit_controllability_matrix",
     "individual_accessibility_closure",

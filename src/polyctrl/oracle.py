@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Mapping
 
@@ -347,23 +348,37 @@ def lie_rank_is_final(system: Polysystem, depth_cap: int | None = None) -> bool:
     return not any(span.add(_constant_field(y)) for y in tests)
 
 
+@lru_cache(maxsize=None)
+def _subsets_by_size(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Every nonempty subset of 1..n in (size, lexicographic) order, as
+    (size, bitmask with bit v set for each member v, members)."""
+    vertices = range(1, n + 1)
+    return tuple(
+        (size, sum([1 << v for v in subset]), subset)
+        for size in vertices
+        for subset in combinations(vertices, size)
+    )
+
+
 def brute_force_dilation(
     graph: DirectedHypergraph,
 ) -> tuple[bool, frozenset[int] | None]:
     """Check every state vertex subset against its covering hyperedge count.
 
-    Returns the first witness in (size, lexicographic) order.  Exponential by
-    design; guarded to n <= 12.
+    Returns the first witness in (size, lexicographic) order.  Heads and
+    subsets are compared as bitmasks.  Exponential by design; guarded to
+    n <= 12.
     """
     if graph.n > 12:
         raise CapacityError(f"subset enumeration is guarded to n <= 12, got {graph.n}")
-    heads = [edge.head for edge in graph.edges]
-    for size in range(1, graph.n + 1):
-        for subset in combinations(range(1, graph.n + 1), size):
-            chosen = frozenset(subset)
-            covering = sum(1 for head in heads if head & chosen)
-            if covering < size:
-                return True, chosen
+    heads = [sum([1 << v for v in edge.head]) for edge in graph.edges]
+    for size, chosen, subset in _subsets_by_size(graph.n):
+        covering = 0
+        for head in heads:
+            if head & chosen:
+                covering += 1
+        if covering < size:
+            return True, frozenset(subset)
     return False, None
 
 

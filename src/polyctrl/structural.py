@@ -40,18 +40,6 @@ class DilationResult:
     matching: tuple[tuple[int, int], ...]
 
 
-def _edges_of_vertex(n: int, head_ptr, head_idx) -> list[list[int]]:
-    """For each state vertex (index 0 unused), the edges whose head holds
-    it, in ascending edge order."""
-    edges_of_vertex: list[list[int]] = [[] for _ in range(n + 1)]
-    start = 0
-    for e, end in enumerate(head_ptr[1:]):
-        for v in head_idx[start:end]:
-            edges_of_vertex[v].append(e)
-        start = end
-    return edges_of_vertex
-
-
 def detect_dilation(graph: DirectedHypergraph) -> DilationResult:
     """Match state vertices to hyperedges whose head contains them.
 
@@ -63,13 +51,24 @@ def detect_dilation(graph: DirectedHypergraph) -> DilationResult:
     explicit stack, so long paths need no recursion.
     """
     n = graph.n
-    edges_of_vertex = _edges_of_vertex(n, graph.head_ptr, graph.head_idx)
-    owner = [0] * (len(graph.head_ptr) - 1)  # vertex matched to each edge, 0 if free
+    head_idx = graph.head_idx
+    # For each state vertex (index 0 unused), the edges whose head holds it,
+    # in ascending edge order.
+    edges_of_vertex: list[list[int]] = [[] for _ in range(n + 1)]
+    e = start = 0
+    for end in graph.head_ptr[1:]:
+        for v in head_idx[start:end]:
+            edges_of_vertex[v].append(e)
+        start = end
+        e += 1
+    owner = [0] * e  # vertex matched to each edge, 0 if free
     visited = owner[:]  # root of the last search that tried the edge
+    unmatched: list[int] = []
 
     for root in range(1, n + 1):
         candidates = edges_of_vertex[root]
         if not candidates:
+            unmatched.append(root)
             continue
         # the search below would take a free first candidate at once
         e = candidates[0]
@@ -104,17 +103,18 @@ def detect_dilation(graph: DirectedHypergraph) -> DilationResult:
             for v, taken in zip(path, via):
                 owner[taken] = v
             break
+        else:
+            unmatched.append(root)
 
-    matched = list(filter(None, owner))
-    matching = tuple(zip(compress(range(len(owner)), owner), matched))
-    if len(matched) == n:
+    matching = tuple(zip(compress(range(len(owner)), owner), filter(None, owner)))
+    if not unmatched:
         return DilationResult(False, None, matching)
 
     # Alternating reachability from every unmatched state vertex: each edge
     # seen is matched (else an augmenting path existed), and its partner
     # joins the set, so covering edges number |set| minus the unmatched.
-    reach = set(range(1, n + 1)).difference(matched)
-    stack = list(reach)
+    reach = set(unmatched)
+    stack = unmatched
     while stack:
         v = stack.pop()
         for e in edges_of_vertex[v]:

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyctrl.tensor import (
@@ -12,6 +12,7 @@ from polyctrl.tensor import (
     CapacityError,
     SparseTensor,
     contract,
+    contract_multi,
     kron_power,
     unfold,
 )
@@ -111,6 +112,25 @@ def test_contract_rejects_wrong_length():
         contract(tensor, np.zeros(3))
 
 
+def test_contract_multi_binds_modes_in_order():
+    tensor = SparseTensor(4, 2, {(1, 1, 1, 2): 1.0})
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    assert np.array_equal(contract_multi(tensor, [e1, e1, e1]), e2)
+    assert np.array_equal(contract_multi(tensor, [e2, e1, e1]), [0.0, 0.0])
+
+    skew = SparseTensor(3, 2, {(1, 2, 1): 5.0})
+    assert np.array_equal(contract_multi(skew, [e1, e2]), [5.0, 0.0])
+    assert np.array_equal(contract_multi(skew, [e2, e1]), [0.0, 0.0])
+
+
+def test_contract_multi_rejects_wrong_arity():
+    tensor = SparseTensor(3, 2, {(1, 2, 1): 5.0})
+    with pytest.raises(ValueError):
+        contract_multi(tensor, [np.zeros(2)])
+    with pytest.raises(ValueError):
+        contract_multi(tensor, [np.zeros(3), np.zeros(3)])
+
+
 @given(tensors(integral=True), st.data())
 def test_contract_homogeneous_of_degree_k_minus_1(tensor, data):
     ints = st.integers(-3, 3)
@@ -121,6 +141,41 @@ def test_contract_homogeneous_of_degree_k_minus_1(tensor, data):
     scaled = contract(tensor, lam * x)
     expected = lam ** (tensor.order - 1) * contract(tensor, x)
     assert np.array_equal(scaled, expected)
+
+
+@given(tensors(integral=True), st.data())
+@settings(max_examples=60)
+def test_contract_multi_linear_in_each_slot(tensor, data):
+    # Integer inputs keep every product exact, so equality is literal.
+    ints = st.lists(st.integers(-3, 3), min_size=tensor.dim, max_size=tensor.dim)
+    slots = tensor.order - 1
+    base = [np.array(data.draw(ints), dtype=float) for _ in range(slots)]
+    slot = data.draw(st.integers(0, slots - 1))
+    v, w = (np.array(data.draw(ints), dtype=float) for _ in range(2))
+    a, b = (float(data.draw(st.integers(-3, 3))) for _ in range(2))
+
+    mixed = list(base)
+    mixed[slot] = a * v + b * w
+    with_v, with_w = list(base), list(base)
+    with_v[slot], with_w[slot] = v, w
+    combined = contract_multi(tensor, mixed)
+    split = a * contract_multi(tensor, with_v) + b * contract_multi(tensor, with_w)
+    assert np.array_equal(combined, split)
+
+
+@given(tensors(), st.data())
+def test_contract_multi_equals_contract_on_repeated_vector(tensor, data):
+    x = np.array(
+        data.draw(
+            st.lists(
+                st.floats(-2, 2, allow_nan=False),
+                min_size=tensor.dim,
+                max_size=tensor.dim,
+            )
+        )
+    )
+    repeated = contract_multi(tensor, [x] * (tensor.order - 1))
+    assert np.array_equal(repeated, contract(tensor, x))
 
 
 # --- Kronecker power ---
