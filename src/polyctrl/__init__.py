@@ -33,6 +33,7 @@ from .structural import (
     analyze_hypergraph,
     detect_dilation,
     structural_verdict,
+    verdict_against_rank,
 )
 from .system import (
     Polysystem,
@@ -46,7 +47,6 @@ from .tensor import (
     CapacityError,
     SparseTensor,
     contract,
-    contract_multi,
     kron_power,
     unfold,
 )
@@ -71,7 +71,6 @@ __all__ = [
     "brute_force_dilation",
     "build_hypergraph",
     "contract",
-    "contract_multi",
     "detect_dilation",
     "explicit_controllability_matrix",
     "individual_accessibility_closure",
@@ -88,5 +87,6 @@ __all__ = [
     "svd_rank",
     "unfold",
     "validate",
+    "verdict_against_rank",
     "__version__",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -19,14 +20,13 @@ from .generate import pattern_with_rng, random_pattern
 from .hypergraph import DirectedHypergraph, build_hypergraph
 from .numeric import strong_controllability
 from .oracle import lie_algebra_rank_at_origin
-from .structural import analyze_hypergraph, structural_verdict
-from .system import (
-    Polysystem,
-    SparsityPattern,
-    ensure_valid,
-    sample_realization,
-    sparsity_pattern,
+from .structural import (
+    accessible_set,
+    analyze_hypergraph,
+    detect_dilation,
+    verdict_against_rank,
 )
+from .system import Polysystem, ensure_valid, sample_realization, sparsity_pattern
 from .tensor import DEFAULT_CAP, CapacityError
 
 import numpy as np
@@ -44,14 +44,16 @@ def _timed(phases: dict[str, float], name: str, fn, *args, **kwargs):
     return result
 
 
-def _read_input(args) -> str:
+def _load(args):
+    """Parse the input named by ``args.path``, or stdin for '-'."""
     if args.path == "-":
-        return sys.stdin.read()
+        return parse_input(sys.stdin.read())
     try:
         with open(args.path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         raise ParseError(0, f"cannot read {args.path}: {exc.strerror}") from None
+    return parse_input(text)
 
 
 def _input_section(obj) -> dict:
@@ -123,89 +125,17 @@ def _emit_error(args, kind: str, message: str) -> None:
         print(f"error: {message}", file=sys.stderr)
 
 
-def _to_pattern(obj) -> SparsityPattern:
-    if isinstance(obj, Polysystem):
-        return sparsity_pattern(obj)
-    return obj
-
-
-def _cmd_analyze(args) -> int:
-    phases: dict[str, float] = {}
-    obj = parse_input(_read_input(args))
-    report = {
-        "format_version": FORMAT_VERSION,
-        "command": "analyze",
-        "input": _input_section(obj),
-    }
+def _graph(obj) -> DirectedHypergraph:
+    """The input as a hypergraph; a system is checked and projected first."""
     if isinstance(obj, DirectedHypergraph):
-        if args.numeric:
-            raise ParseError(0, "numeric analysis needs tensor/matrix input, not a hypergraph")
-        verdict = _timed(phases, "structural", analyze_hypergraph, obj)
-        report["structural"] = _structural_section(verdict)
-    else:
-        if isinstance(obj, Polysystem):
-            ensure_valid(obj)
-        pattern = _to_pattern(obj)
-        verdict = _timed(phases, "structural", structural_verdict, pattern)
-        report["structural"] = _structural_section(verdict)
-        if args.numeric:
-            if isinstance(obj, Polysystem):
-                system, seed = obj, None
-            else:
-                system, seed = sample_realization(pattern, args.seed), args.seed
-            rank = _timed(
-                phases, "numeric", strong_controllability, system, tol=args.tol, cap=args.cap
-            )
-            report["numeric"] = {
-                "rank": rank.rank,
-                "n": rank.n,
-                "strongly_controllable": rank.strongly_controllable,
-                "iterations": rank.iterations,
-                "tolerance": rank.tolerance,
-                "seed": seed,
-            }
-    if args.timings:
-        report["timings_ms"] = phases
-    _emit(report, args)
-    return 0
+        return obj
+    if isinstance(obj, Polysystem):
+        obj = sparsity_pattern(obj)
+    return build_hypergraph(obj)
 
 
-def _cmd_dilation(args) -> int:
-    obj = parse_input(_read_input(args))
-    graph = obj if isinstance(obj, DirectedHypergraph) else build_hypergraph(_to_pattern(obj))
-    verdict = analyze_hypergraph(graph)
-    report = {
-        "format_version": FORMAT_VERSION,
-        "command": "dilation",
-        "input": _input_section(obj),
-        "dilated": verdict.dilated,
-        "witness": sorted(verdict.dilation_witness)
-        if verdict.dilation_witness is not None
-        else None,
-        "matching": [list(pair) for pair in verdict.matching],
-    }
-    _emit(report, args)
-    return 0
-
-
-def _cmd_access(args) -> int:
-    from .structural import accessible_set
-
-    obj = parse_input(_read_input(args))
-    graph = obj if isinstance(obj, DirectedHypergraph) else build_hypergraph(_to_pattern(obj))
-    accessible = accessible_set(graph)
-    report = {
-        "format_version": FORMAT_VERSION,
-        "command": "access",
-        "input": _input_section(obj),
-        "accessible": sorted(accessible),
-        "inaccessible": sorted(graph.state_vertices - accessible),
-    }
-    _emit(report, args)
-    return 0
-
-
-def _require_system(obj, args) -> tuple[Polysystem, int | None]:
+def _system(obj, args) -> tuple[Polysystem, int | None]:
+    """The input as a system and the seed it was drawn with (None if given)."""
     if isinstance(obj, DirectedHypergraph):
         raise ParseError(0, "this command needs tensor/matrix input, not a hypergraph")
     if isinstance(obj, Polysystem):
@@ -214,14 +144,8 @@ def _require_system(obj, args) -> tuple[Polysystem, int | None]:
     return sample_realization(obj, args.seed), args.seed
 
 
-def _cmd_rank(args) -> int:
-    obj = parse_input(_read_input(args))
-    system, seed = _require_system(obj, args)
-    rank = strong_controllability(system, tol=args.tol, cap=args.cap)
-    report = {
-        "format_version": FORMAT_VERSION,
-        "command": "rank",
-        "input": _input_section(obj),
+def _rank_section(rank, seed: int | None) -> dict:
+    return {
         "rank": rank.rank,
         "n": rank.n,
         "strongly_controllable": rank.strongly_controllable,
@@ -229,57 +153,104 @@ def _cmd_rank(args) -> int:
         "tolerance": rank.tolerance,
         "seed": seed,
     }
-    _emit(report, args)
-    return 0
 
 
-def _cmd_lie_rank(args) -> int:
-    obj = parse_input(_read_input(args))
-    system, seed = _require_system(obj, args)
-    rank, saturated = lie_algebra_rank_at_origin(system, depth_cap=args.depth_cap)
+def _report(args, obj, **fields) -> int:
+    """Emit the report of an input command: the common header, then ``fields``."""
     report = {
         "format_version": FORMAT_VERSION,
-        "command": "lie-rank",
+        "command": args.command,
         "input": _input_section(obj),
-        "rank": rank,
-        "n": system.dim,
-        "full_rank": rank == system.dim,
-        "saturated": saturated,
-        "seed": seed,
+        **fields,
     }
     _emit(report, args)
     return 0
 
 
+def _cmd_analyze(args) -> int:
+    phases: dict[str, float] = {}
+    obj = _load(args)
+    verdict = _timed(phases, "structural", lambda: analyze_hypergraph(_graph(obj)))
+    fields = {"structural": _structural_section(verdict)}
+    if args.numeric:
+        system, seed = _system(obj, args)
+        rank = _timed(
+            phases, "numeric", strong_controllability, system, tol=args.tol, cap=args.cap
+        )
+        fields["numeric"] = _rank_section(rank, seed)
+    if args.timings:
+        fields["timings_ms"] = phases
+    return _report(args, obj, **fields)
+
+
+def _cmd_dilation(args) -> int:
+    obj = _load(args)
+    result = detect_dilation(_graph(obj))
+    return _report(
+        args,
+        obj,
+        dilated=result.dilated,
+        witness=sorted(result.witness) if result.witness is not None else None,
+        matching=[list(pair) for pair in result.matching],
+    )
+
+
+def _cmd_access(args) -> int:
+    obj = _load(args)
+    graph = _graph(obj)
+    accessible = accessible_set(graph)
+    return _report(
+        args,
+        obj,
+        accessible=sorted(accessible),
+        inaccessible=sorted(graph.state_vertices - accessible),
+    )
+
+
+def _cmd_rank(args) -> int:
+    obj = _load(args)
+    system, seed = _system(obj, args)
+    rank = strong_controllability(system, tol=args.tol, cap=args.cap)
+    return _report(args, obj, **_rank_section(rank, seed))
+
+
+def _cmd_lie_rank(args) -> int:
+    obj = _load(args)
+    system, seed = _system(obj, args)
+    rank, saturated = lie_algebra_rank_at_origin(system, depth_cap=args.depth_cap)
+    return _report(
+        args,
+        obj,
+        rank=rank,
+        n=system.dim,
+        full_rank=rank == system.dim,
+        saturated=saturated,
+        seed=seed,
+    )
+
+
 def _cmd_validate(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     trials = []
-    disagreements = []
     for index in range(args.trials):
         tensor_nnz = min(int(rng.integers(1, 7)), args.n**args.k)
         control_nnz = int(rng.integers(1, args.n * args.m + 1))
         pattern = pattern_with_rng(rng, args.n, args.k, args.m, tensor_nnz, control_nnz)
-        verdict = structural_verdict(pattern)
-        draws = 3 if verdict.controllable else 5
-        ranks = []
-        for j in range(draws):
-            system = sample_realization(pattern, args.seed * 1000 + index * 10 + j)
-            ranks.append(strong_controllability(system, tol=args.tol).rank)
-        if verdict.controllable:
-            agree = any(r == pattern.dim for r in ranks)
-        else:
-            agree = all(r < pattern.dim for r in ranks)
-        if not agree:
-            disagreements.append(index)
+        controllable, ranks, agree = verdict_against_rank(
+            pattern, args.seed * 1000 + index * 10, args.tol
+        )
         trials.append(
             {
                 "index": index,
-                "controllable": verdict.controllable,
+                "controllable": controllable,
                 "ranks": ranks,
                 "n": pattern.dim,
                 "agree": agree,
             }
         )
+    disagreements = [trial["index"] for trial in trials if not trial["agree"]]
     report = {
         "format_version": FORMAT_VERSION,
         "command": "validate",
@@ -377,10 +348,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        _emit_error(args, "input", str(exc))
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError included
         _emit_error(args, "input", str(exc))
         return 2
     except CapacityError as exc:
@@ -389,4 +357,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``polyctrl ... | head``).  Point
+        # stdout at devnull so the flush at interpreter exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)

@@ -37,6 +37,12 @@ def _draw_control_support(rng, n, m, count):
 def pattern_with_rng(
     rng: np.random.Generator, n: int, k: int, m: int, tensor_nnz: int, control_nnz: int
 ) -> SparsityPattern:
+    if k % 2:
+        raise ValueError(f"tensor order k={k} is odd; the drift degree k-1 must be odd")
+    if tensor_nnz < 0 or control_nnz < 0:
+        raise ValueError(
+            f"support sizes must be >= 0, got tensor {tensor_nnz} and control {control_nnz}"
+        )
     if tensor_nnz > n**k:
         raise ValueError(f"tensor support {tensor_nnz} exceeds index space {n ** k}")
     if control_nnz > n * m:

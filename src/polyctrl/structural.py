@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .hypergraph import DirectedHypergraph, build_hypergraph
-from .system import SparsityPattern
+from .numeric import strong_controllability
+from .system import SparsityPattern, sample_realization
 
 __all__ = [
     "DilationResult",
@@ -23,6 +24,7 @@ __all__ = [
     "analyze_hypergraph",
     "detect_dilation",
     "structural_verdict",
+    "verdict_against_rank",
 ]
 
 
@@ -201,3 +203,24 @@ def structural_verdict(pattern: SparsityPattern) -> StructuralVerdict:
     the same hypergraph and hence the same verdict.
     """
     return analyze_hypergraph(build_hypergraph(pattern))
+
+
+def verdict_against_rank(
+    pattern: SparsityPattern, seed: int, tol: float
+) -> tuple[bool, list[int], bool]:
+    """Check the structural verdict against the rank of sampled realizations.
+
+    Returns (controllable, ranks, agree).  Realization j is drawn with seed
+    ``seed + j``: 3 of them for a controllable pattern, which agrees when
+    one reaches full rank (a generic realization should), and 5 for an
+    uncontrollable one, which agrees when none does.
+    """
+    controllable = structural_verdict(pattern).controllable
+    draws = 3 if controllable else 5
+    ranks = [
+        strong_controllability(sample_realization(pattern, seed + j), tol=tol).rank
+        for j in range(draws)
+    ]
+    if controllable:
+        return controllable, ranks, any(r == pattern.dim for r in ranks)
+    return controllable, ranks, all(r < pattern.dim for r in ranks)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "CapacityError",
     "SparseTensor",
     "contract",
-    "contract_multi",
     "kron_power",
     "unfold",
 ]
@@ -129,25 +128,6 @@ def contract(tensor: SparseTensor, x: np.ndarray) -> np.ndarray:
         term = coeff
         for i in idx[:-1]:
             term *= x[i - 1]
-        out[idx[-1] - 1] += term
-    return out
-
-
-def contract_multi(tensor: SparseTensor, vectors: Iterable[np.ndarray]) -> np.ndarray:
-    """Bind a separate vector to each tail mode, in mode order 1..k-1."""
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    if len(vs) != tensor.order - 1:
-        raise ValueError(f"expected {tensor.order - 1} vectors, got {len(vs)}")
-    for v in vs:
-        if v.shape != (tensor.dim,):
-            raise ValueError(
-                f"expected vectors of length {tensor.dim}, got shape {v.shape}"
-            )
-    out = np.zeros(tensor.dim)
-    for idx, coeff in tensor.entries.items():
-        term = coeff
-        for m, i in enumerate(idx[:-1]):
-            term *= vs[m][i - 1]
         out[idx[-1] - 1] += term
     return out
 

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,7 @@ CUBIC_TEXT = "tensor 4 2\n1 1 1 2 1.0\nmatrix 2 1\n1 1 1.0\n"
 SHARED_TEXT = "tensor 4 2\nmatrix 2 1\n1 1 1.0\n2 1 1.0\n"
 PATTERN_TEXT = "tensor 4 2\n1 1 1 2\nmatrix 2 1\n1 1\n"
 HYPERGRAPH_TEXT = "hypergraph 2 1\n3 -> 1,2\n"
+ACCESS_TEXT = "hypergraph 3 1\n4 -> 1\n1 -> 2\n"
 
 
 def write(tmp_path, text, name="input.txt"):
@@ -122,7 +126,7 @@ def test_dilation_command(tmp_path, capsys):
 
 
 def test_access_command(tmp_path, capsys):
-    path = write(tmp_path, "hypergraph 3 1\n4 -> 1\n1 -> 2\n")
+    path = write(tmp_path, ACCESS_TEXT)
     code, report = run_json(capsys, ["access", path, "--json"])
     assert code == 0
     assert report["accessible"] == [1, 2, 4]
@@ -186,6 +190,108 @@ def test_stdin_input(monkeypatch, capsys):
     code, report = run_json(capsys, ["analyze", "-", "--json"])
     assert code == 0
     assert report["structural"]["controllable"] is True
+
+
+# --- exact --json bytes ---
+
+def report_text(report):
+    # the --json layout: two-space indent, sorted keys, one trailing newline
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+CUBIC_INPUT = {"kind": "system", "k": 4, "n": 2, "m": 1, "tensor_nnz": 1, "control_nnz": 1}
+CUBIC_STRUCTURAL = {
+    "controllable": True,
+    "dilated": False,
+    "dilation_witness": None,
+    "inaccessible": [],
+    "matching": [[0, 1], [1, 2]],
+}
+CUBIC_RANK = {
+    "rank": 2,
+    "n": 2,
+    "strongly_controllable": True,
+    "iterations": 1,
+    "tolerance": 4.440892098500626e-16,
+    "seed": None,
+}
+PINNED_REPORTS = [
+    (["analyze"], CUBIC_TEXT, {"input": CUBIC_INPUT, "structural": CUBIC_STRUCTURAL}),
+    (
+        ["analyze", "--numeric"],
+        CUBIC_TEXT,
+        {"input": CUBIC_INPUT, "structural": CUBIC_STRUCTURAL, "numeric": CUBIC_RANK},
+    ),
+    (
+        ["dilation"],
+        HYPERGRAPH_TEXT,
+        {
+            "input": {"kind": "hypergraph", "n": 2, "m": 1, "edges": 1},
+            "dilated": True,
+            "witness": [1, 2],
+            "matching": [[0, 1]],
+        },
+    ),
+    (
+        ["access"],
+        ACCESS_TEXT,
+        {
+            "input": {"kind": "hypergraph", "n": 3, "m": 1, "edges": 2},
+            "accessible": [1, 2, 4],
+            "inaccessible": [3],
+        },
+    ),
+    (["rank"], CUBIC_TEXT, {"input": CUBIC_INPUT, **CUBIC_RANK}),
+    (
+        ["lie-rank"],
+        CUBIC_TEXT,
+        {
+            "input": CUBIC_INPUT,
+            "rank": 2,
+            "n": 2,
+            "full_rank": True,
+            "saturated": True,
+            "seed": None,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text, fields", PINNED_REPORTS)
+def test_input_command_json_bytes(tmp_path, capsys, argv, text, fields):
+    path = write(tmp_path, text)
+    assert run([argv[0], path, "--json", *argv[1:]]) == 0
+    expected = {"format_version": "1", "command": argv[0], **fields}
+    assert capsys.readouterr().out == report_text(expected)
+
+
+def test_validate_json_bytes(capsys):
+    assert run(["validate", "--trials", "3", "--n", "2", "--seed", "1", "--json"]) == 0
+    detail = [
+        {"index": i, "controllable": True, "ranks": [2, 2, 2], "n": 2, "agree": True}
+        for i in range(3)
+    ]
+    expected = {
+        "format_version": "1",
+        "command": "validate",
+        "trials": 3,
+        "n": 2,
+        "k": 4,
+        "m": 1,
+        "seed": 1,
+        "tolerance": 1e-10,
+        "agreements": 3,
+        "disagreements": [],
+        "all_agree": True,
+        "detail": detail,
+    }
+    assert capsys.readouterr().out == report_text(expected)
+
+
+def test_gen_bytes(capsys):
+    assert run(["gen", "--n", "3", "--k", "4", "--m", "2", "--seed", "5", "--json"]) == 0
+    expected = "tensor 4 3\n2 2 2 1\n3 1 1 2\n3 3 1 3\nmatrix 3 2\n1 1\n2 1\n"
+    assert capsys.readouterr().out == expected
 
 
 # --- determinism ---
@@ -265,6 +371,51 @@ def test_rank_refuses_hypergraph(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "tensor/matrix input" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--trials", "-1"], "--trials must be >= 0, got -1"),
+        (["gen", "--n", "3", "--k", "3", "--m", "1"], "tensor order k=3 is odd"),
+        (["gen", "--n", "3", "--k", "4", "--m", "1", "--tensor-nnz", "-1"], "support sizes"),
+    ],
+)
+def test_bad_generator_arguments_exit_code(capsys, argv, message):
+    code = run(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "input"
+    assert error["message"].startswith(message)
+
+
+def test_closed_stdout_ends_quietly(tmp_path, capsys):
+    # a k=2 chain at n=6000: its report is about four times the 64 KiB a pipe
+    # buffers, so the CLI is still writing when the reader goes away
+    n = 6000
+    chain = "".join(f"{i} {i + 1}\n" for i in range(1, n))
+    path = write(tmp_path, f"tensor 2 {n}\n{chain}matrix {n} 1\n1 1\n")
+    assert run(["analyze", path, "--json"]) == 0
+    assert len(capsys.readouterr().out) > 65536
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from polyctrl.cli import main; main()", "analyze", path, "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
 
 
 def test_parser_rejects_unknown_command():

@@ -25,6 +25,7 @@ from polyctrl.structural import (
     analyze_hypergraph,
     detect_dilation,
     structural_verdict,
+    verdict_against_rank,
 )
 from polyctrl.system import SparsityPattern, sample_realization, sparsity_pattern
 
@@ -294,6 +295,14 @@ def test_verdict_depends_on_the_pattern_only():
     for seed in (0, 1, 2, 3):
         system = sample_realization(pattern, seed)
         assert structural_verdict(sparsity_pattern(system)) == expected
+
+
+def test_verdict_against_rank_draws_by_verdict():
+    # controllable: 3 draws, one at full rank suffices; not: 5, none may be
+    cubic = sparsity_pattern(cubic_forward_system())
+    assert verdict_against_rank(cubic, 40, 1e-10) == (True, [2, 2, 2], True)
+    shared = sparsity_pattern(shared_input_system())
+    assert verdict_against_rank(shared, 40, 1e-10) == (False, [1] * 5, True)
 
 
 def test_analysis_scales_to_long_chains():
