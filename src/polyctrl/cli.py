@@ -15,8 +15,8 @@ import os
 import sys
 import time
 
-from .formats import ParseError, parse_input, serialize
-from .generate import pattern_with_rng, random_pattern
+from .formats import parse_input, serialize
+from .generate import pattern_of_shape, random_pattern
 from .hypergraph import DirectedHypergraph, build_hypergraph
 from .numeric import strong_controllability
 from .oracle import lie_algebra_rank_at_origin
@@ -52,7 +52,7 @@ def _load(args):
         with open(args.path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise ParseError(0, f"cannot read {args.path}: {exc.strerror}") from None
+        raise ValueError(f"cannot read {args.path}: {exc.strerror}") from None
     return parse_input(text)
 
 
@@ -70,7 +70,7 @@ def _input_section(obj) -> dict:
         control_nnz = int(np.count_nonzero(obj.control))
     else:
         kind = "pattern"
-        tensor_nnz = len(obj.tensor_support)
+        tensor_nnz = len(obj.tensor_index)
         control_nnz = len(obj.control_support)
     return {
         "kind": kind,
@@ -137,7 +137,7 @@ def _graph(obj) -> DirectedHypergraph:
 def _system(obj, args) -> tuple[Polysystem, int | None]:
     """The input as a system and the seed it was drawn with (None if given)."""
     if isinstance(obj, DirectedHypergraph):
-        raise ParseError(0, "this command needs tensor/matrix input, not a hypergraph")
+        raise ValueError("this command needs tensor/matrix input, not a hypergraph")
     if isinstance(obj, Polysystem):
         ensure_valid(obj)
         return obj, None
@@ -169,7 +169,7 @@ def _report(args, obj, **fields) -> int:
 
 def _cmd_analyze(args) -> int:
     phases: dict[str, float] = {}
-    obj = _load(args)
+    obj = _timed(phases, "parse", _load, args)
     verdict = _timed(phases, "structural", lambda: analyze_hypergraph(_graph(obj)))
     fields = {"structural": _structural_section(verdict)}
     if args.numeric:
@@ -235,9 +235,7 @@ def _cmd_validate(args) -> int:
     rng = np.random.default_rng(args.seed)
     trials = []
     for index in range(args.trials):
-        tensor_nnz = min(int(rng.integers(1, 7)), args.n**args.k)
-        control_nnz = int(rng.integers(1, args.n * args.m + 1))
-        pattern = pattern_with_rng(rng, args.n, args.k, args.m, tensor_nnz, control_nnz)
+        pattern = pattern_of_shape(rng, args.n, args.k, args.m)
         controllable, ranks, agree = verdict_against_rank(
             pattern, args.seed * 1000 + index * 10, args.tol
         )
@@ -351,8 +349,8 @@ def run(argv=None) -> int:
     except ValueError as exc:  # ParseError included
         _emit_error(args, "input", str(exc))
         return 2
-    except CapacityError as exc:
-        _emit_error(args, "capacity", str(exc))
+    except (CapacityError, MemoryError) as exc:
+        _emit_error(args, "capacity", str(exc) or "out of memory")
         return 3
 
 

@@ -19,6 +19,7 @@ via repr).
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -71,19 +72,7 @@ def _parse_indices(tokens, line_no: int, what: str) -> tuple[int, ...]:
         raise
 
 
-def parse_system(text: str) -> Polysystem | SparsityPattern:
-    """Parse the tensor/matrix format.
-
-    Returns a Polysystem when entries carry values and a SparsityPattern
-    when none do; mixing the two is an error, as are duplicate indices,
-    out-of-range indices, and odd tensor order.  Each line is read once and
-    every error names its line.
-    """
-    lines = _content_lines(text)
-    header = next(lines, None)
-    if header is None:
-        raise ParseError(1, "empty input")
-    line_no, tokens = header
+def _tensor_header(line_no: int, tokens: list[str]) -> tuple[int, int]:
     if len(tokens) != 3 or tokens[0] != "tensor":
         raise ParseError(line_no, "expected header 'tensor k n'")
     k = _parse_int(tokens[1], line_no, "order")
@@ -94,6 +83,111 @@ def parse_system(text: str) -> Polysystem | SparsityPattern:
         raise ParseError(line_no, f"tensor order k={k} is odd; the drift degree k-1 must be odd")
     if n < 1:
         raise ParseError(line_no, f"dimension must be >= 1, got {n}")
+    return k, n
+
+
+def _matrix_header(line_no: int, tokens: list[str], n: int) -> int:
+    if len(tokens) != 3:
+        raise ParseError(line_no, "expected header 'matrix n m'")
+    mat_n = _parse_int(tokens[1], line_no, "row count")
+    m = _parse_int(tokens[2], line_no, "column count")
+    if mat_n != n:
+        raise ParseError(line_no, f"matrix rows {mat_n} do not match tensor dimension {n}")
+    if m < 1:
+        raise ParseError(line_no, f"need at least one input column, got {m}")
+    return m
+
+
+# The only bytes a section body may hold for the bulk reader.  Everything
+# else (comments, CR, the other line breaks of str.splitlines, which
+# loadtxt reads as blanks, signs, values) is left to the per-line loop.
+_BULK_BYTES = b"0123456789 \t\n"
+
+
+def _bulk_rows(block: str, highs: tuple[int, ...]) -> np.ndarray | None:
+    """A section body read in one numpy pass: an int64 array with one row
+    per line and column c in [1, highs[c]].
+
+    None when the body holds anything but digits and blanks, a row of
+    another length, an index out of range or a repeated row.
+    """
+    if block.encode("ascii").translate(None, _BULK_BYTES):
+        return None
+    if not block.strip():
+        return np.empty((0, len(highs)), dtype=np.int64)
+    try:
+        rows = np.loadtxt(io.StringIO(block), dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if rows.shape[1] != len(highs):
+        return None
+    if any(col.min() < 1 or col.max() > high for col, high in zip(rows.T, highs)):
+        return None
+    ordered = rows[np.lexsort(rows.T)]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+        return None
+    return rows
+
+
+def _bulk_pattern(text: str) -> SparsityPattern | None:
+    """Read pattern-only text in one numpy pass per section.
+
+    Returns None for any text that the per-line loop might read differently
+    or reject: non-ASCII text, a header line with a control character, a
+    section with anything but digits and blanks, or any bad entry.  The loop
+    then reads it and words the error, so every message keeps its line.
+    """
+    if not text.isascii():
+        return None
+    start = len(text) - len(text.lstrip(" \t\n"))
+    tensor_end = text.find("\n", start)
+    matrix_start = text.find("\nmatrix", tensor_end) + 1
+    if tensor_end < 0 or matrix_start == 0:
+        return None
+    matrix_end = text.find("\n", matrix_start)
+    if matrix_end < 0:
+        matrix_end = len(text)
+    tensor_line = text[start:tensor_end]
+    matrix_line = text[matrix_start:matrix_end]
+    if not (tensor_line + matrix_line).replace("\t", " ").isprintable():
+        return None
+    matrix_tokens = matrix_line.split()
+    if matrix_tokens[0] != "matrix":
+        return None
+    try:
+        k, n = _tensor_header(0, tensor_line.split())
+        m = _matrix_header(0, matrix_tokens, n)
+    except ParseError:
+        return None
+    tensor = _bulk_rows(text[tensor_end:matrix_start], (n,) * k)
+    control = _bulk_rows(text[matrix_end:], (n, m))
+    if tensor is None or control is None:
+        return None
+    return SparsityPattern.from_index(k, n, m, tensor, frozenset(map(tuple, control.tolist())))
+
+
+def parse_system(text: str) -> Polysystem | SparsityPattern:
+    """Parse the tensor/matrix format.
+
+    Returns a Polysystem when entries carry values and a SparsityPattern
+    when none do; mixing the two is an error, as are duplicate indices,
+    out-of-range indices, and odd tensor order.  Pattern-only text is read
+    in bulk, one numpy pass per section; anything else, and every error,
+    goes through a loop that reads each line once and names the line.
+    """
+    pattern = _bulk_pattern(text)
+    if pattern is not None:
+        return pattern
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Polysystem | SparsityPattern:
+    lines = _content_lines(text)
+    header = next(lines, None)
+    if header is None:
+        raise ParseError(1, "empty input")
+    line_no, tokens = header
+    k, n = _tensor_header(line_no, tokens)
 
     valued: bool | None = None
     # first line of each multi-index, and its value when entries carry one
@@ -129,14 +223,7 @@ def parse_system(text: str) -> Polysystem | SparsityPattern:
     else:
         raise ParseError(line_no, "missing 'matrix n m' section")
 
-    if len(tokens) != 3:
-        raise ParseError(line_no, "expected header 'matrix n m'")
-    mat_n = _parse_int(tokens[1], line_no, "row count")
-    m = _parse_int(tokens[2], line_no, "column count")
-    if mat_n != n:
-        raise ParseError(line_no, f"matrix rows {mat_n} do not match tensor dimension {n}")
-    if m < 1:
-        raise ParseError(line_no, f"need at least one input column, got {m}")
+    m = _matrix_header(line_no, tokens, n)
 
     control_lines: dict[tuple[int, int], int] = {}
     control_values: dict[tuple[int, int], float] = {}

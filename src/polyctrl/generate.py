@@ -13,6 +13,7 @@ from .hypergraph import DirectedHypergraph, Hyperedge
 from .system import SparsityPattern
 
 __all__ = [
+    "pattern_of_shape",
     "random_digraph_pattern",
     "random_hypergraph",
     "random_pattern",
@@ -34,11 +35,19 @@ def _draw_control_support(rng, n, m, count):
     return frozenset(support)
 
 
+def _check_shape(n: int, k: int, m: int) -> None:
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
+    if m < 1:
+        raise ValueError(f"input count m must be >= 1, got {m}")
+    if k % 2:
+        raise ValueError(f"tensor order k={k} is odd; the drift degree k-1 must be odd")
+
+
 def pattern_with_rng(
     rng: np.random.Generator, n: int, k: int, m: int, tensor_nnz: int, control_nnz: int
 ) -> SparsityPattern:
-    if k % 2:
-        raise ValueError(f"tensor order k={k} is odd; the drift degree k-1 must be odd")
+    _check_shape(n, k, m)
     if tensor_nnz < 0 or control_nnz < 0:
         raise ValueError(
             f"support sizes must be >= 0, got tensor {tensor_nnz} and control {control_nnz}"
@@ -63,6 +72,17 @@ def random_pattern(
     return pattern_with_rng(np.random.default_rng(int(seed)), n, k, m, tensor_nnz, control_nnz)
 
 
+def pattern_of_shape(
+    rng: np.random.Generator, n: int, k: int, m: int, max_tensor_nnz: int = 6
+) -> SparsityPattern:
+    """Pattern of the given shape with drawn support sizes: 1..max_tensor_nnz
+    tensor entries (at most n**k) and 1..n*m control entries."""
+    _check_shape(n, k, m)
+    tensor_nnz = min(int(rng.integers(1, max_tensor_nnz + 1)), n**k)
+    control_nnz = int(rng.integers(1, n * m + 1))
+    return pattern_with_rng(rng, n, k, m, tensor_nnz, control_nnz)
+
+
 def random_system_pattern(
     seed: int,
     n_low: int = 2,
@@ -75,9 +95,7 @@ def random_system_pattern(
     rng = np.random.default_rng(int(seed))
     n = int(rng.integers(n_low, n_high + 1))
     m = int(rng.integers(1, m_high + 1))
-    tensor_nnz = min(int(rng.integers(1, max_tensor_nnz + 1)), n**k)
-    control_nnz = int(rng.integers(1, n * m + 1))
-    return pattern_with_rng(rng, n, k, m, tensor_nnz, control_nnz)
+    return pattern_of_shape(rng, n, k, m, max_tensor_nnz)
 
 
 def random_digraph_pattern(seed: int, n_high: int = 6, m_high: int = 2) -> SparsityPattern:
@@ -85,9 +103,7 @@ def random_digraph_pattern(seed: int, n_high: int = 6, m_high: int = 2) -> Spars
     rng = np.random.default_rng(int(seed))
     n = int(rng.integers(2, n_high + 1))
     m = int(rng.integers(1, m_high + 1))
-    tensor_nnz = min(int(rng.integers(1, 2 * n + 1)), n * n)
-    control_nnz = int(rng.integers(1, n * m + 1))
-    return pattern_with_rng(rng, n, 2, m, tensor_nnz, control_nnz)
+    return pattern_of_shape(rng, n, 2, m, 2 * n)
 
 
 def random_hypergraph(seed: int, n_high: int = 8, m_high: int = 2) -> DirectedHypergraph:

@@ -190,13 +190,13 @@ def _group_tensor(pattern: SparsityPattern) -> tuple[list[int], list[int], list[
     (offsets, then indices).  A head repeated under one tail, which comes
     from a permuted tail, appears once.
     """
-    support = pattern.tensor_support
-    if len(support) < _NUMPY_GROUPING_MIN:
+    if len(pattern.tensor_index) < _NUMPY_GROUPING_MIN:
         tail_idx: list[int] = []
         head_ptr: list[int] = []
         head_idx: list[int] = []
         previous = None
-        for *tail, head in sorted([*sorted(idx[:-1]), idx[-1]] for idx in support):
+        tails_heads = ([*sorted(idx[:-1]), idx[-1]] for idx in pattern.tensor_support)
+        for *tail, head in sorted(tails_heads):
             if tail != previous:
                 tail_idx.extend(tail)
                 head_ptr.append(len(head_idx))

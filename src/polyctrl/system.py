@@ -8,8 +8,9 @@ with coefficients bounded away from zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -118,43 +119,93 @@ def _outside(values: np.ndarray, high: int) -> bool:
     return values.size > 0 and (values.min() < 1 or values.max() > high)
 
 
-@dataclass(frozen=True)
 class SparsityPattern:
     """Structural support of a system: which coefficients may be nonzero.
 
-    ``tensor_support`` holds 1-based multi-indices of length ``order``;
-    ``control_support`` holds (row, column) pairs of the control matrix.
-    ``tensor_index`` holds the tensor support as a read-only (nnz, order)
-    int64 array, rows in the support's iteration order.
+    ``tensor_index`` holds the tensor support, 1-based multi-indices of
+    length ``order``, as a read-only (nnz, order) int64 array with one row
+    per entry; ``tensor_support`` reads it back as a frozenset of tuples,
+    built on first access.  ``control_support`` holds (row, column) pairs of
+    the control matrix.  The constructor checks its arguments;
+    ``from_index`` wraps ones that are already valid.
     """
 
-    order: int
-    dim: int
-    inputs: int
-    tensor_support: frozenset[tuple[int, ...]]
-    control_support: frozenset[tuple[int, int]]
-    tensor_index: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("order", "dim", "inputs", "tensor_index", "control_support", "_tensor_support")
 
-    def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError(f"pattern order must be >= 2, got {self.order}")
-        if self.dim < 1:
-            raise ValueError(f"pattern dimension must be >= 1, got {self.dim}")
-        if self.inputs < 1:
-            raise ValueError(f"pattern needs at least one input, got {self.inputs}")
-        tsup, tensor_index = _support_index(self.tensor_support, self.order, "multi-index")
-        if _outside(tensor_index, self.dim):
-            idx = next(idx for idx in tsup if min(idx) < 1 or max(idx) > self.dim)
-            raise ValueError(f"multi-index {idx} outside [1, {self.dim}]")
-        csup, control_index = _support_index(self.control_support, 2, "control index")
-        if _outside(control_index[:, 0], self.dim) or _outside(control_index[:, 1], self.inputs):
-            idx = next(
-                (i, j) for i, j in csup if not (1 <= i <= self.dim and 1 <= j <= self.inputs)
-            )
+    def __init__(
+        self,
+        order: int,
+        dim: int,
+        inputs: int,
+        tensor_support: Iterable[tuple[int, ...]],
+        control_support: Iterable[tuple[int, int]],
+    ) -> None:
+        if order < 2:
+            raise ValueError(f"pattern order must be >= 2, got {order}")
+        if dim < 1:
+            raise ValueError(f"pattern dimension must be >= 1, got {dim}")
+        if inputs < 1:
+            raise ValueError(f"pattern needs at least one input, got {inputs}")
+        tsup, tensor_index = _support_index(tensor_support, order, "multi-index")
+        if _outside(tensor_index, dim):
+            idx = next(idx for idx in tsup if min(idx) < 1 or max(idx) > dim)
+            raise ValueError(f"multi-index {idx} outside [1, {dim}]")
+        csup, control_index = _support_index(control_support, 2, "control index")
+        if _outside(control_index[:, 0], dim) or _outside(control_index[:, 1], inputs):
+            idx = next((i, j) for i, j in csup if not (1 <= i <= dim and 1 <= j <= inputs))
             raise ValueError(f"control index {idx} out of range")
-        object.__setattr__(self, "tensor_support", tsup)
-        object.__setattr__(self, "control_support", csup)
-        object.__setattr__(self, "tensor_index", tensor_index)
+        self._fill(order, dim, inputs, tensor_index, csup, tsup)
+
+    @classmethod
+    def from_index(
+        cls,
+        order: int,
+        dim: int,
+        inputs: int,
+        tensor_index: np.ndarray,
+        control_support: frozenset[tuple[int, int]],
+    ) -> SparsityPattern:
+        """Wrap a support without checking it: ``tensor_index`` an (nnz,
+        order) int64 array of distinct rows in [1, dim], ``control_support``
+        int pairs in range.  The array is made read-only, not copied."""
+        tensor_index.setflags(write=False)
+        pattern = cls.__new__(cls)
+        pattern._fill(order, dim, inputs, tensor_index, control_support, None)
+        return pattern
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SparsityPattern is immutable; cannot set {name!r}")
+
+    @property
+    def tensor_support(self) -> frozenset[tuple[int, ...]]:
+        if self._tensor_support is None:
+            support = frozenset(map(tuple, self.tensor_index.tolist()))
+            object.__setattr__(self, "_tensor_support", support)
+        return self._tensor_support
+
+    def _key(self) -> tuple:
+        return (self.order, self.dim, self.inputs, self.tensor_support, self.control_support)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SparsityPattern):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return SparsityPattern, self._key()
+
+    def __repr__(self) -> str:
+        return (
+            f"SparsityPattern(order={self.order!r}, dim={self.dim!r}, inputs={self.inputs!r}, "
+            f"tensor_support={self.tensor_support!r}, control_support={self.control_support!r})"
+        )
 
 
 def sparsity_pattern(system: Polysystem) -> SparsityPattern:

@@ -30,7 +30,7 @@ __all__ = [
     "unfold",
 ]
 
-# Cap on materialized columns / cells; large dense intermediates are the
+# Cap on materialized cells; large dense intermediates are the
 # expected failure mode at scale and must fail loudly, never by swapping.
 DEFAULT_CAP = 1 << 26
 
@@ -100,13 +100,13 @@ def unfold(tensor: SparseTensor, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Mode-k unfolding: n x n**(k-1) matrix, row = head index.
 
     Column order puts tail mode 1 slowest, matching ``kron_power``.  Raises
-    CapacityError when the column count n**(k-1) exceeds ``cap``.
+    CapacityError when its n * n**(k-1) cells exceed ``cap``.
     """
     n, k = tensor.dim, tensor.order
     cols = n ** (k - 1)
-    if cols > cap:
+    if n * cols > cap:
         raise CapacityError(
-            f"unfolding needs {cols} columns, cap is {cap}; "
+            f"unfolding needs {n * cols} cells, cap is {cap}; "
             "use the sparse operations instead"
         )
     out = np.zeros((n, cols))

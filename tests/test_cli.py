@@ -93,7 +93,7 @@ def test_analyze_numeric_refuses_hypergraph(tmp_path, capsys):
     assert captured.out == ""
     envelope = json.loads(captured.err)
     assert envelope["error"]["kind"] == "input"
-    assert "hypergraph" in envelope["error"]["message"]
+    assert envelope["error"]["message"].startswith("this command needs tensor/matrix input")
 
 
 def test_analyze_timings_flag(tmp_path, capsys):
@@ -102,6 +102,7 @@ def test_analyze_timings_flag(tmp_path, capsys):
     assert code == 0
     assert "structural" in report["timings_ms"]
     assert report["timings_ms"]["structural"] >= 0.0
+    assert report["timings_ms"]["parse"] >= 0.0
 
 
 def test_human_output_skips_format_version(tmp_path, capsys):
@@ -265,6 +266,27 @@ def test_input_command_json_bytes(tmp_path, capsys, argv, text, fields):
     assert capsys.readouterr().out == report_text(expected)
 
 
+def test_generated_pattern_json_bytes(tmp_path, capsys):
+    # 36 tensor entries: read in bulk, and grouped on the numpy side of the
+    # 32-entry threshold
+    assert run(["gen", "--n", "8", "--k", "4", "--m", "2", "--seed", "3", "--tensor-nnz", "36"]) == 0
+    path = write(tmp_path, capsys.readouterr().out)
+    assert run(["analyze", path, "--json"]) == 0
+    expected = {
+        "format_version": "1",
+        "command": "analyze",
+        "input": {"kind": "pattern", "k": 4, "n": 8, "m": 2, "tensor_nnz": 36, "control_nnz": 2},
+        "structural": {
+            "controllable": True,
+            "dilated": False,
+            "dilation_witness": None,
+            "inaccessible": [],
+            "matching": [[0, 5], [1, 4], [2, 8], [3, 7], [4, 6], [6, 1], [11, 3], [12, 2]],
+        },
+    }
+    assert capsys.readouterr().out == report_text(expected)
+
+
 def test_validate_json_bytes(capsys):
     assert run(["validate", "--trials", "3", "--n", "2", "--seed", "1", "--json"]) == 0
     detail = [
@@ -335,7 +357,9 @@ def test_missing_file_exit_code(capsys):
     code = run(["analyze", "/nonexistent/input.txt", "--json"])
     captured = capsys.readouterr()
     assert code == 2
-    assert json.loads(captured.err)["error"]["kind"] == "input"
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "input"
+    assert error["message"] == "cannot read /nonexistent/input.txt: No such file or directory"
 
 
 def test_bad_tolerance_exit_code(tmp_path, capsys):
@@ -365,12 +389,45 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["kind"] == "capacity"
 
 
+def test_unfolding_capacity_counts_cells(tmp_path, capsys):
+    # a valid k=4 chain at n=300: its unfolding has 300**3 columns, under the
+    # default cap, but 300**4 cells (64 GiB), over it; the guard refuses
+    # before anything is allocated
+    n = 300
+    chain = "".join(f"{i} {i} {i} {i + 1}\n" for i in range(1, n))
+    path = write(tmp_path, f"tensor 4 {n}\n{chain}matrix {n} 1\n1 1\n")
+    code = run(["rank", path, "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "capacity"
+    assert error["message"].startswith(f"unfolding needs {n**4} cells")
+    assert "Traceback" not in captured.err
+
+
+def test_memory_error_is_a_capacity_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 60.3 GiB")
+
+    monkeypatch.setattr("polyctrl.cli.strong_controllability", exhausted)
+    path = write(tmp_path, CUBIC_TEXT)
+    code = run(["rank", path, "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.err)["error"] == {
+        "kind": "capacity",
+        "message": "Unable to allocate 60.3 GiB",
+    }
+
+
 def test_rank_refuses_hypergraph(tmp_path, capsys):
     path = write(tmp_path, HYPERGRAPH_TEXT)
-    code = run(["rank", path])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "tensor/matrix input" in captured.err
+    for command in ("rank", "lie-rank"):
+        code = run([command, path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: this command needs tensor/matrix input, not a hypergraph\n"
 
 
 @pytest.mark.parametrize(
@@ -379,6 +436,9 @@ def test_rank_refuses_hypergraph(tmp_path, capsys):
         (["validate", "--trials", "-1"], "--trials must be >= 0, got -1"),
         (["gen", "--n", "3", "--k", "3", "--m", "1"], "tensor order k=3 is odd"),
         (["gen", "--n", "3", "--k", "4", "--m", "1", "--tensor-nnz", "-1"], "support sizes"),
+        (["gen", "--n", "0", "--k", "4", "--m", "1"], "dimension n must be >= 1, got 0"),
+        (["validate", "--trials", "3", "--n", "0"], "dimension n must be >= 1, got 0"),
+        (["validate", "--n", "3", "--m", "0"], "input count m must be >= 1, got 0"),
     ],
 )
 def test_bad_generator_arguments_exit_code(capsys, argv, message):

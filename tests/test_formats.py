@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import cubic_forward_system, shared_input_system
 from polyctrl.formats import (
     ParseError,
+    _bulk_pattern,
+    _parse_lines,
     parse_hypergraph,
     parse_input,
     parse_system,
@@ -114,6 +116,157 @@ def test_duplicate_entries_report_first_line():
     with pytest.raises(ParseError) as info:
         parse_system(text)
     assert "first at line 3" in str(info.value)
+
+
+# --- bulk reading against the per-line loop ---
+
+
+def outcome(parse, text):
+    """What a parser makes of ``text``: the pattern with its row count, the
+    serialized system, or the error's type and message."""
+    try:
+        result = parse(text)
+    except ValueError as exc:  # ParseError included
+        return type(exc).__name__, str(exc)
+    if isinstance(result, SparsityPattern):
+        return result, len(result.tensor_index)
+    return "system", serialize(result)
+
+
+def assert_paths_agree(text):
+    assert outcome(parse_system, text) == outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("tensor_nnz", [0, 1, 31, 32, 200])
+def test_bulk_reads_generated_patterns_like_the_loop(k, tensor_nnz):
+    for seed in range(3):
+        pattern = random_pattern(16, k, 3, tensor_nnz, 5, seed)
+        text = serialize(pattern)
+        bulk = _bulk_pattern(text)
+        assert bulk == pattern
+        assert bulk.tensor_index.dtype == np.int64
+        assert bulk.tensor_index.shape == (tensor_nnz, k)
+        assert not bulk.tensor_index.flags.writeable
+        assert_paths_agree(text)
+
+
+def pattern_lines(count, k=4, n=30):
+    """``count`` distinct pattern lines of order ``k``, in a fixed order."""
+    return [
+        " ".join(str(1 + (e // n**p) % n) for p in range(k)) for e in range(count)
+    ]
+
+
+def long_text(lines, k=4, n=30):
+    return f"tensor {k} {n}\n" + "\n".join(lines) + f"\nmatrix {n} 2\n1 1\n{n} 2\n"
+
+
+DEEP = pattern_lines(10_000)
+DEEP_SHORT = DEEP[:8999] + ["1 2 3"] + DEEP[9000:]
+DEEP_VALUED = DEEP[:8999] + [DEEP[8999] + " 7"] + DEEP[9000:]
+DEEP_RANGE = DEEP[:8999] + ["1 2 3 31"] + DEEP[9000:]
+DEEP_DUPLICATE = DEEP[:9000] + [DEEP[0]] + DEEP[9000:]
+
+# Texts the bulk reader must take.
+BULK_TEXTS = {
+    "plain": "tensor 4 2\n1 1 1 2\nmatrix 2 1\n1 1\n",
+    "blank-lines": "\n\n  tensor 4 2\n\n1 1 1 2\n  \n\t\n2 2 2 1\nmatrix 2 1\n \n1 1\n\n",
+    "tabs-trailing-blanks": "tensor 4 2\n1\t1 1 2  \n2 2\t2 1\t\nmatrix 2 1\t\n1\t1 \n",
+    "leading-zeros": "tensor 4 3\n03 1 1 2\nmatrix 3 1\n001 1\n",
+    "empty-tensor-no-final-newline": "tensor 4 2\nmatrix 2 1\n1 1",
+    "empty-control": "tensor 4 2\n1 1 1 2\nmatrix 2 1\n",
+    "long": long_text(DEEP),
+}
+
+ADVERSARIAL_TEXTS = {
+    # comments, blank and whitespace-only lines inside sections
+    "comments-in-sections": "tensor 4 2\n1 1 1 2\n# note\n2 2 2 1\nmatrix 2 1\n# c\n1 1\n",
+    "comment-before-header": "# head\ntensor 4 2\n1 1 1 2\nmatrix 2 1\n1 1\n",
+    "comment-after-header": "tensor 4 2 # order, dimension\n1 1 1 2\nmatrix 2 1\n1 1\n",
+    "comment-after-entry": "tensor 4 2\n1 1 1 2 #\nmatrix 2 1\n1 1\n",
+    # CR, CRLF and the other line breaks of str.splitlines
+    "crlf": "tensor 4 2\r\n1 1 1 2\r\nmatrix 2 1\r\n1 1\r\n",
+    "cr": "tensor 4 2\n1 1 1 2\r2 2 2 1\nmatrix 2 1\n1 1\n",
+    "ff-two-lines": "tensor 2 6\n3 4\x0c5 6\nmatrix 6 1\n1 1\n",
+    "vt-in-entry": "tensor 4 2\n1 1\x0b1 2\nmatrix 2 1\n1 1\n",
+    "ff-in-entry": "tensor 4 2\n1 1\x0c1 2\nmatrix 2 1\n1 1\n",
+    "fs-in-entry": "tensor 4 2\n1 1\x1c1 2\nmatrix 2 1\n1 1\n",
+    "gs-in-control": "tensor 4 2\n1 1 1 2\nmatrix 2 1\n1\x1d1\n",
+    "rs-after-entry": "tensor 4 2\n1 1 1 2\x1e\nmatrix 2 1\n1 1\n",
+    "us-in-entry": "tensor 4 2\n1 1 1\x1f2\nmatrix 2 1\n1 1\n",
+    "nel-after-entry": "tensor 4 2\n1 1 1 2\x85\nmatrix 2 1\n1 1\n",
+    "nbsp-after-entry": "tensor 4 2\n1 1 1 2\xa0\nmatrix 2 1\n1 1\n",
+    "ff-in-tensor-header": "tensor 4\x0c2\n1 1 1 2\nmatrix 2 1\n1 1\n",
+    "vt-in-tensor-header": "tensor\x0b4 2\n1 1 1 2\nmatrix 2 1\n1 1\n",
+    "ff-in-matrix-header": "tensor 4 2\n1 1 1 2\nmatrix 2\x0c1\n1 1\n",
+    "fs-in-matrix-header": "tensor 4 2\n1 1 1 2\nmatrix\x1c2 1\n1 1\n",
+    # tokens int() reads but loadtxt reads otherwise, or not at all
+    "plus-sign": "tensor 4 3\n+3 1 1 2\nmatrix 3 1\n1 1\n",
+    "underscore": "tensor 2 2000\n1_000 1\nmatrix 2000 1\n1 1\n",
+    "decimal-point": "tensor 4 2\n1.0 1 1 2\nmatrix 2 1\n1 1\n",
+    "arabic-indic-index": "tensor 2 2\n١ 2\nmatrix 2 1\n1 1\n",
+    "arabic-indic-row": "tensor 2 2\n1 2\nmatrix 2 1\n١ 1\n",
+    "arabic-indic-dimension": "tensor 4 ٢\n1 1 1 2\nmatrix 2 1\n1 1\n",
+    "negative-index": "tensor 4 2\n-1 1 1 2\nmatrix 2 1\n1 1\n",
+    "zero-index": "tensor 4 2\n0 1 1 2\nmatrix 2 1\n1 1\n",
+    # token counts, ranges and duplicates, deep in a long file
+    "deep-short-line": long_text(DEEP_SHORT),
+    "deep-valued-line": long_text(DEEP_VALUED),
+    "deep-out-of-range": long_text(DEEP_RANGE),
+    "deep-duplicate": long_text(DEEP_DUPLICATE),
+    "integer-values": "tensor 4 2\n1 1 1 2 3\n2 1 1 2 3\nmatrix 2 1\n1 1 3\n",
+    "short-entry": "tensor 4 2\n1 1 2\nmatrix 2 1\n1 1\n",
+    "index-out-of-range": "tensor 4 2\n1 1 1 3\nmatrix 2 1\n1 1\n",
+    "row-out-of-range": "tensor 4 2\nmatrix 2 1\n3 1\n",
+    "column-out-of-range": "tensor 4 2\nmatrix 2 1\n1 2\n",
+    "control-duplicate": "tensor 4 2\nmatrix 2 1\n1 1\n2 1\n1 1\n",
+    "control-three-integers": "tensor 4 2\nmatrix 2 1\n1 1 1\n",
+    # int64 overflow
+    "index-overflow": "tensor 2 2\n99999999999999999999 1\nmatrix 2 1\n1 1\n",
+    "dimension-overflow": "tensor 2 99999999999999999999\n1 2\nmatrix 99999999999999999999 1\n1 1\n",
+    "index-overflow-in-range": "tensor 2 99999999999999999999\n9223372036854775808 2\n"
+    "matrix 99999999999999999999 1\n1 1\n",
+    # valued entries and mixes
+    "valued-integers": "tensor 2 2\n1 2 3\nmatrix 2 1\n1 1 5\n",
+    "valued-then-pattern": "tensor 4 2\n1 1 1 2 1.0\nmatrix 2 1\n1 1\n",
+    "pattern-then-valued": "tensor 4 2\n1 1 1 2\nmatrix 2 1\n1 1 1.0\n",
+    # headers
+    "empty": "",
+    "header-only": "tensor 4 2",
+    "missing-matrix": "tensor 4 2\n1 1 1 2\n",
+    "matrixx": "tensor 4 2\n1 1 1 2\nmatrixx 2 1\n1 1\n",
+    "indented-matrix": "tensor 4 2\n1 1 1 2\n  matrix 2 1\n1 1\n",
+    "second-matrix": "tensor 4 2\n1 1 1 2\nmatrix 2 1\n1 1\nmatrix 2 1\n",
+    "matrix-rows": "tensor 4 2\nmatrix 3 1\n1 1\n",
+    "matrix-no-columns": "tensor 4 2\nmatrix 2 0\n",
+    "matrix-short-header": "tensor 4 2\nmatrix 2\n1 1\n",
+    "odd-order": "tensor 3 2\nmatrix 2 1\n1 1\n",
+    "matrix-first": "matrix 2 1\n1 1\n",
+}
+
+
+@pytest.mark.parametrize("text", BULK_TEXTS.values(), ids=BULK_TEXTS.keys())
+def test_bulk_reader_takes_plain_patterns(text):
+    assert _bulk_pattern(text) is not None
+    assert_paths_agree(text)
+
+
+@pytest.mark.parametrize("text", ADVERSARIAL_TEXTS.values(), ids=ADVERSARIAL_TEXTS.keys())
+def test_bulk_reader_agrees_with_the_loop(text):
+    assert_paths_agree(text)
+
+
+def test_deep_errors_keep_their_line():
+    for text, message in [
+        (DEEP_SHORT, "line 9001: expected 4 indices with an optional value, got 3 tokens"),
+        (DEEP_VALUED, "line 9001: entries mix valued and pattern-only lines"),
+        (DEEP_RANGE, "line 9001: index 31 outside [1, 30]"),
+        (DEEP_DUPLICATE, "line 9002: duplicate multi-index (1, 1, 1, 1) (first at line 2)"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_system(long_text(text))
+        assert str(info.value) == message
 
 
 # --- hypergraph parsing ---

@@ -1,5 +1,8 @@
 """Polysystem validation, sparsity projection, and realization sampling."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -96,6 +99,31 @@ def test_pattern_validation():
         SparsityPattern(4, 2, 1, frozenset({(1, 1, 1, 3)}), frozenset())
     with pytest.raises(ValueError):
         SparsityPattern(4, 2, 1, frozenset(), frozenset({(1, 2)}))
+
+
+def test_pattern_from_index_equals_checked_pattern():
+    support = frozenset({(1, 1, 1, 2), (2, 1, 2, 1), (2, 2, 2, 2)})
+    checked = SparsityPattern(4, 2, 1, support, frozenset({(1, 1)}))
+    index = np.array(sorted(support), dtype=np.int64)
+    wrapped = SparsityPattern.from_index(4, 2, 1, index, frozenset({(1, 1)}))
+    assert wrapped.tensor_index is index
+    assert not index.flags.writeable
+    assert wrapped == checked
+    assert hash(wrapped) == hash(checked)
+    assert wrapped.tensor_support == support
+    assert repr(wrapped) == (
+        f"SparsityPattern(order=4, dim=2, inputs=1, tensor_support={wrapped.tensor_support!r}, "
+        "control_support=frozenset({(1, 1)}))"
+    )
+    assert wrapped != SparsityPattern(4, 2, 2, support, frozenset({(1, 1)}))
+
+
+def test_pattern_is_immutable_and_survives_pickle_and_copy():
+    pattern = random_system_pattern(5)
+    with pytest.raises(AttributeError):
+        pattern.dim = 3
+    for clone in (pickle.loads(pickle.dumps(pattern)), copy.deepcopy(pattern)):
+        assert clone == pattern
 
 
 def test_sampling_is_deterministic():

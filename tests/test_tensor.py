@@ -94,6 +94,11 @@ def test_unfold_capacity():
         unfold(thin)
     # the default cap admits it at n = 1
     assert unfold(SparseTensor(40, 1, {(1,) * 40: 2.0})).shape == (1, 1)
+    # the cap counts cells, n * n**(k-1), not columns
+    cube = SparseTensor(4, 3, {(1, 2, 3, 1): 1.0})
+    assert unfold(cube, cap=81).shape == (3, 27)
+    with pytest.raises(CapacityError, match="needs 81 cells"):
+        unfold(cube, cap=80)
 
 
 # --- contraction ---
