@@ -16,7 +16,7 @@ import sys
 import time
 
 from .formats import parse_input, serialize
-from .generate import pattern_of_shape, random_pattern
+from .generate import check_shape, pattern_of_shape, random_pattern
 from .hypergraph import DirectedHypergraph, build_hypergraph
 from .numeric import strong_controllability
 from .oracle import lie_algebra_rank_at_origin
@@ -232,6 +232,7 @@ def _cmd_lie_rank(args) -> int:
 def _cmd_validate(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    check_shape(args.n, args.k, args.m)
     rng = np.random.default_rng(args.seed)
     trials = []
     for index in range(args.trials):

@@ -13,6 +13,7 @@ from .hypergraph import DirectedHypergraph, Hyperedge
 from .system import SparsityPattern
 
 __all__ = [
+    "check_shape",
     "pattern_of_shape",
     "random_digraph_pattern",
     "random_hypergraph",
@@ -35,7 +36,8 @@ def _draw_control_support(rng, n, m, count):
     return frozenset(support)
 
 
-def _check_shape(n: int, k: int, m: int) -> None:
+def check_shape(n: int, k: int, m: int) -> None:
+    """Reject a shape no pattern can have: n or m below 1, or an odd k."""
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
     if m < 1:
@@ -47,7 +49,7 @@ def _check_shape(n: int, k: int, m: int) -> None:
 def pattern_with_rng(
     rng: np.random.Generator, n: int, k: int, m: int, tensor_nnz: int, control_nnz: int
 ) -> SparsityPattern:
-    _check_shape(n, k, m)
+    check_shape(n, k, m)
     if tensor_nnz < 0 or control_nnz < 0:
         raise ValueError(
             f"support sizes must be >= 0, got tensor {tensor_nnz} and control {control_nnz}"
@@ -77,7 +79,7 @@ def pattern_of_shape(
 ) -> SparsityPattern:
     """Pattern of the given shape with drawn support sizes: 1..max_tensor_nnz
     tensor entries (at most n**k) and 1..n*m control entries."""
-    _check_shape(n, k, m)
+    check_shape(n, k, m)
     tensor_nnz = min(int(rng.integers(1, max_tensor_nnz + 1)), n**k)
     control_nnz = int(rng.integers(1, n * m + 1))
     return pattern_with_rng(rng, n, k, m, tensor_nnz, control_nnz)

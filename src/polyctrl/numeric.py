@@ -1,18 +1,29 @@
 """Numeric strong-controllability tests.
 
-The reduced controllability matrix is grown iteratively: apply the tensor
-to the Kronecker power of the current basis, append, and compress with a
-thin SVD so the column count never exceeds n.  The generated block is built
-from the stored entries, each adding a row-wise Kronecker product of basis
-rows to its head row, so its cost is nnz * s**(k-1) for a basis of s
-columns and neither the Kronecker power nor a dense unfolding enters the
-product; the unfolding is formed once per call, only for the spectral norm
-that scales the coefficients.
+The reduced controllability matrix is an orthonormal basis of the span
+chain S_0 = range(B), S_{j+1} = S_j + span{ f(v) : v in S_j } of the field
+f(x) = A x^(k-1).  By polarization that span is the span of A applied to the
+symmetrized Kronecker power of a basis of S_j, so the rank iteration
+evaluates the field instead: a randomized range finder (Halko, Martinsson
+and Tropp, SIAM Review 2011) on the reduced controllability matrix (Chen,
+Surana, Bloch and Rajapakse, IEEE TNSE 2021).  Iteration j draws seeded
+Gaussian points V c in the span of the basis V of S_j, at most 8 at a time.
+It evaluates f at them from the stored entries: gather the tail rows,
+multiply, scatter to the heads, at a cost of nnz * (k-1) per point.  Each
+batch W is projected twice against the whole current basis, and the left
+singular vectors of the n x b residual are kept above a global cutoff:
+tol * sqrt(1 + sum ||W||_F**2) over the iteration so far, a bound on the
+largest singular value of the basis beside every batch.  A cutoff relative
+to the batch alone would turn a residual of pure rounding into a direction.
+An iteration ends when a batch keeps fewer directions than it has points
+(b generic points of a span of dimension d add min(b, d) directions), and
+the loop ends when an iteration adds nothing.
 
-The explicit controllability matrix runs the same recursion uncompressed:
-each step appends A applied to the Kronecker power of the whole matrix so
-far, so its width w becomes w + w**(k-1) per step and explodes doubly
-exponentially, which is why it only serves as a desk-scale oracle.
+The explicit controllability matrix runs the same recursion uncompressed
+on the tail-symmetrized unfolding: each step appends A applied to the
+Kronecker power of the whole matrix so far, so its width w becomes
+w + w**(k-1) per step and explodes doubly exponentially, which is why it
+only serves as a desk-scale oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .system import Polysystem, ensure_valid
-from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, kron_power, unfold
+from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, kron_power, symmetrize, unfold
 
 __all__ = [
     "RankReport",
@@ -33,6 +44,8 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+# Field evaluations per batch of the rank iteration.
+_BATCH = 8
 
 
 def _relative_tolerance(tol: float, shape: tuple[int, int]) -> float:
@@ -53,50 +66,24 @@ def svd_rank(mat: np.ndarray, tol: float = 0.0) -> int:
     return int(np.count_nonzero(sigma > _relative_tolerance(tol, mat.shape) * sigma[0]))
 
 
-def _entry_arrays(
-    tensor: SparseTensor, a_norm: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _entry_arrays(tensor: SparseTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """0-based tail indices (nnz, k-1), head indices (nnz,) and coefficients
-    (nnz,) of the stored entries, the coefficients divided by ``a_norm``."""
+    (nnz, 1) of the stored entries, the coefficients scaled to unit Euclidean
+    norm."""
     entries = tensor.entries
     nnz, k = len(entries), tensor.order
     idx = np.array(list(entries), dtype=np.intp).reshape(nnz, k) - 1
     coeffs = np.fromiter(entries.values(), dtype=float, count=nnz)
-    if a_norm > 0.0:
-        coeffs = coeffs / a_norm
-    return idx[:, :-1], idx[:, -1], coeffs
+    if nnz:
+        coeffs /= np.sqrt(coeffs @ coeffs)
+    return idx[:, :-1], idx[:, -1], coeffs[:, None]
 
 
-def _generated_block(
-    tails: np.ndarray,
-    heads: np.ndarray,
-    coeffs: np.ndarray,
-    basis: np.ndarray,
-    cap: int,
-) -> np.ndarray:
-    """Apply the tensor to the Kronecker power of ``basis``, entry by entry.
-
-    Entry e adds ``c_e * V[i1] kron ... kron V[i_{k-1}]`` (rows of the basis
-    V at its tail indices) to row ``head_e`` of the block, so columns keep
-    the ``kron_power`` order: tuple index lexicographic, first factor
-    slowest.  Entries are taken at most n at a time, so no temporary is
-    larger than the block itself.
-    """
-    n, s = basis.shape
-    width = s ** tails.shape[1]
-    if n * width > cap:
-        raise CapacityError(
-            f"generated block needs {n * width} cells, cap is {cap}"
-        )
-    out = np.zeros((n, width))
-    for start in range(0, heads.size, n):
-        chunk = slice(start, start + n)
-        rows = basis[tails[chunk, 0]]
-        for mode in range(1, tails.shape[1]):
-            factor = basis[tails[chunk, mode]]
-            rows = (rows[:, :, None] * factor[:, None, :]).reshape(rows.shape[0], -1)
-        rows *= coeffs[chunk, None]
-        np.add.at(out, heads[chunk], rows)
+def _field(tails, heads, coeffs, points: np.ndarray) -> np.ndarray:
+    """f(x) = A x^(k-1) at each column x of ``points``, from the entry arrays:
+    gather the tail rows, multiply, and scatter to the heads."""
+    out = np.zeros(points.shape)
+    np.add.at(out, heads, points[tails].prod(axis=1) * coeffs)
     return out
 
 
@@ -109,35 +96,40 @@ def _compress(mat: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
     return u[:, :rank], rank, used_tol
 
 
-def _reduce(
-    system: Polysystem, tol: float, cap: int
-) -> tuple[np.ndarray, int, float, list[int]]:
+def _reduce(system: Polysystem, tol: float, cap: int) -> tuple[np.ndarray, int, float]:
     ensure_valid(system)
     n = system.dim
-    # B is compressed to an orthonormal basis before the loop and the
-    # coefficients are divided once by the spectral norm of the unfolded
-    # tensor (built only for that norm and its capacity guard).  Both steps
-    # preserve the span chain, and they make the rank verdict independent
-    # of the overall coefficient scale: raw stacking of B against
-    # A(B kron ... kron B) would otherwise compare magnitudes that differ
-    # by the scale to the power k-1.  Per-block rescaling is deliberately
-    # avoided; it would amplify an all-noise block into a fake direction.
-    a_norm = np.linalg.norm(unfold(system.tensor, cap=cap), 2)
-    tails, heads, coeffs = _entry_arrays(system.tensor, a_norm)
-    basis, previous_rank, used_tol = _compress(np.array(system.control), tol)
+    tails, heads, coeffs = _entry_arrays(system.tensor)
+    # The basis rows, one batch of points and its gathered tail rows.
+    cells = n * n + (n + tails.size) * min(_BATCH, n)
+    if cells > cap:
+        raise CapacityError(f"rank reduction needs {cells} cells, cap is {cap}")
+    u, rank, used_tol = _compress(np.array(system.control), tol)
+    basis = np.empty((n, n))
+    basis[:rank] = u.T
+    # One generator per call, so the rank is deterministic.
+    rng = np.random.default_rng(0)
     iterations = 0
-    history: list[int] = []
-    for _ in range(n):
-        if basis.shape[1] == 0 or previous_rank == n:
-            break
-        block = _generated_block(tails, heads, coeffs, basis, cap)
+    while 0 < rank < n:
         iterations += 1
-        basis, rank, used_tol = _compress(np.hstack([basis, block]), tol)
-        history.append(rank)
-        if rank == n or rank == previous_rank:
+        start, scale = rank, 1.0
+        while rank < n:
+            width = min(_BATCH, n - rank)
+            used_tol = _relative_tolerance(tol, (n, rank + width))
+            points = basis[:start].T @ rng.standard_normal((start, width))
+            block = _field(tails, heads, coeffs, points)
+            scale += np.vdot(block, block)
+            for _ in range(2):
+                block -= basis[:rank].T @ (basis[:rank] @ block)
+            u, sigma, _ = np.linalg.svd(block, full_matrices=False)
+            kept = int(np.count_nonzero(sigma > used_tol * scale**0.5))
+            basis[rank : rank + kept] = u[:, :kept].T
+            rank += kept
+            if kept < width:
+                break
+        if rank == start:
             break
-        previous_rank = rank
-    return basis, iterations, used_tol, history
+    return basis[:rank].T, iterations, used_tol
 
 
 def reduced_controllability_matrix(
@@ -146,12 +138,14 @@ def reduced_controllability_matrix(
     """Orthonormal basis of the reachable directions, at most n columns.
 
     ``tol`` is the relative singular-value cutoff; 0 selects the automatic
-    max(dims) * machine-epsilon cutoff.  The loop runs at most n times and
-    exits early once the rank reaches n or stops growing.  The unfolded
-    tensor is scaled to unit spectral norm once up front, so the verdict
-    does not depend on the overall scale of the coefficients.
+    max(n, r + b) * machine-epsilon cutoff for a batch of b points beside a
+    basis of r columns.  The loop runs at most n times and exits early once
+    the rank reaches n or stops growing.  The coefficients are scaled to unit Euclidean norm and B is
+    orthonormalized up front, so the verdict does not depend on the overall
+    scale of either.  ``cap`` bounds the cells of the n x n basis and one
+    batch.
     """
-    basis, _, _, _ = _reduce(system, tol, cap)
+    basis, _, _ = _reduce(system, tol, cap)
     return basis
 
 
@@ -168,7 +162,7 @@ def strong_controllability(
     system: Polysystem, tol: float = 0.0, cap: int = DEFAULT_CAP
 ) -> RankReport:
     """Rank verdict from the reduced controllability matrix."""
-    basis, iterations, used_tol, _ = _reduce(system, tol, cap)
+    basis, iterations, used_tol = _reduce(system, tol, cap)
     rank = basis.shape[1]
     return RankReport(
         rank=rank,
@@ -185,17 +179,18 @@ def explicit_controllability_matrix(
     """Uncompressed controllability matrix after ``terms - 1`` steps of the
     cumulative recursion M_0 = B, M_j = [M_{j-1}, A M_{j-1}^(kron (k-1))].
 
-    This is the reduction's span chain without the SVD: M_{j-1} and the
-    reduced basis span the same space, and so do their Kronecker powers, so
-    cross terms such as A(b1 kron b1 kron b2) are formed here as well.  The
-    width w becomes w + w**(k-1) at each step (m = 1, k = 4: 1, 2, 10).
-    Intended as a small-scale rank oracle only; the capacity error on column
-    blowup is the expected behaviour beyond desk sizes.
+    A is the unfolding of the tail-symmetrized tensor, so A applied to a
+    Kronecker power depends on the field alone.  This is the reduction's
+    span chain without compression: by polarization, the products such as
+    A(b1 kron b1 kron b2) of columns of M_{j-1} span the field values on its
+    range.  The width w becomes w + w**(k-1) at each step (m = 1, k = 4: 1,
+    2, 10).  Intended as a small-scale rank oracle only; the capacity error
+    on column blowup is the expected behaviour beyond desk sizes.
     """
     ensure_valid(system)
     if terms < 1:
         raise ValueError(f"need at least one term, got {terms}")
-    a_mat = unfold(system.tensor, cap=cap)
+    a_mat = unfold(symmetrize(system.tensor), cap=cap)
     mat = np.array(system.control)
     for _ in range(terms - 1):
         power = kron_power(mat, system.order - 1, cap=cap)

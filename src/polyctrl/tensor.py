@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Mapping
 
 import numpy as np
@@ -27,6 +29,7 @@ __all__ = [
     "SparseTensor",
     "contract",
     "kron_power",
+    "symmetrize",
     "unfold",
 ]
 
@@ -94,6 +97,22 @@ def _column_index(idx: tuple[int, ...], dim: int) -> int:
     for i in idx[:-1]:
         col = col * dim + (i - 1)
     return col
+
+
+def symmetrize(tensor: SparseTensor) -> SparseTensor:
+    """The tensor with tail modes symmetric and the same field ``contract``.
+
+    Each coefficient is spread evenly over the distinct orderings of its
+    tail; entries whose shares cancel exactly are dropped.
+    """
+    out: dict[tuple[int, ...], float] = defaultdict(float)
+    for idx, coeff in tensor.entries.items():
+        tails = set(permutations(idx[:-1]))
+        for tail in tails:
+            out[tail + idx[-1:]] += coeff / len(tails)
+    return SparseTensor(
+        tensor.order, tensor.dim, {idx: c for idx, c in out.items() if c != 0.0}
+    )
 
 
 def unfold(tensor: SparseTensor, cap: int = DEFAULT_CAP) -> np.ndarray:

@@ -389,21 +389,32 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["kind"] == "capacity"
 
 
-def test_unfolding_capacity_counts_cells(tmp_path, capsys):
-    # a valid k=4 chain at n=300: its unfolding has 300**3 columns, under the
-    # default cap, but 300**4 cells (64 GiB), over it; the guard refuses
-    # before anything is allocated
+def test_rank_runs_a_k4_chain_at_n300(tmp_path, capsys):
+    # a valid k=4 chain at n=300: its dense unfolding would hold 300**4 cells
+    # (64 GiB), but the rank iteration evaluates the field from the entries
     n = 300
     chain = "".join(f"{i} {i} {i} {i + 1}\n" for i in range(1, n))
     path = write(tmp_path, f"tensor 4 {n}\n{chain}matrix {n} 1\n1 1\n")
-    code = run(["rank", path, "--json"])
+    code, report = run_json(capsys, ["rank", path, "--json"])
+    assert code == 0
+    assert (report["rank"], report["iterations"]) == (n, n - 1)
+    assert report["strongly_controllable"] is True
+
+
+def test_rank_cap_bounds_the_reduction(tmp_path, capsys):
+    # n = 4, k = 4, one entry: a 4 x 4 basis plus one batch of 4 points,
+    # 4 cells each and 3 gathered tail cells, is 16 + (4 + 3) * 4 = 44 cells
+    path = write(tmp_path, "tensor 4 4\n1 1 1 2\nmatrix 4 1\n1 1\n")
+    assert run(["rank", path, "--json", "--cap", "44"]) == 0
+    capsys.readouterr()
+    code = run(["rank", path, "--json", "--cap", "43"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    error = json.loads(captured.err)["error"]
-    assert error["kind"] == "capacity"
-    assert error["message"].startswith(f"unfolding needs {n**4} cells")
-    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"] == {
+        "kind": "capacity",
+        "message": "rank reduction needs 44 cells, cap is 43",
+    }
 
 
 def test_memory_error_is_a_capacity_error(tmp_path, capsys, monkeypatch):
@@ -439,6 +450,7 @@ def test_rank_refuses_hypergraph(tmp_path, capsys):
         (["gen", "--n", "0", "--k", "4", "--m", "1"], "dimension n must be >= 1, got 0"),
         (["validate", "--trials", "3", "--n", "0"], "dimension n must be >= 1, got 0"),
         (["validate", "--n", "3", "--m", "0"], "input count m must be >= 1, got 0"),
+        (["validate", "--trials", "0", "--n", "0", "--k", "3"], "dimension n must be >= 1, got 0"),
     ],
 )
 def test_bad_generator_arguments_exit_code(capsys, argv, message):

@@ -17,18 +17,19 @@ from conftest import (
     self_loop_system,
     shared_input_system,
 )
-from polyctrl.generate import random_system_pattern
+from polyctrl.generate import pattern_of_shape, random_system_pattern
 from polyctrl.numeric import (
     _entry_arrays,
-    _generated_block,
+    _field,
     explicit_controllability_matrix,
     reduced_controllability_matrix,
     strong_controllability,
     svd_rank,
 )
 from polyctrl.oracle import kalman_rank
+from polyctrl.structural import verdict_against_rank
 from polyctrl.system import Polysystem, sample_realization
-from polyctrl.tensor import DEFAULT_CAP, CapacityError, SparseTensor, unfold
+from polyctrl.tensor import CapacityError, SparseTensor, symmetrize, unfold
 
 
 def scaled(system: Polysystem, factor: float) -> Polysystem:
@@ -149,7 +150,7 @@ def test_reduction_capacity_guard():
         strong_controllability(cubic_forward_system(), cap=4)
 
 
-# --- generated block kernel ---
+# --- field evaluation kernel ---
 
 
 def kron_loop_block(tensor: SparseTensor, basis: np.ndarray) -> np.ndarray:
@@ -165,9 +166,10 @@ def kron_loop_block(tensor: SparseTensor, basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def entry_block(tensor: SparseTensor, basis: np.ndarray, cap: int = DEFAULT_CAP) -> np.ndarray:
-    tails, heads, coeffs = _entry_arrays(tensor, 1.0)
-    return _generated_block(tails, heads, coeffs, basis, cap)
+def entry_block(tensor: SparseTensor, points: np.ndarray) -> np.ndarray:
+    """The field at each column of ``points``, in the tensor's own scale."""
+    tails, heads, coeffs = _entry_arrays(tensor)
+    return _field(tails, heads, coeffs, points) * np.linalg.norm(list(tensor.entries.values()))
 
 
 def random_tensor(rng, k: int, n: int, nnz: int) -> SparseTensor:
@@ -179,9 +181,13 @@ def random_tensor(rng, k: int, n: int, nnz: int) -> SparseTensor:
     return SparseTensor(k, n, entries)
 
 
-def assert_blocks_match(tensor: SparseTensor, basis: np.ndarray) -> None:
-    got, want = entry_block(tensor, basis), kron_loop_block(tensor, basis)
-    assert got.shape == want.shape
+def assert_blocks_match(tensor: SparseTensor, points: np.ndarray) -> None:
+    """Column j of the field block is A(x kron ... kron x) for x = points[:, j]."""
+    got = entry_block(tensor, points)
+    want = np.column_stack(
+        [kron_loop_block(tensor, points[:, [j]])[:, 0] for j in range(points.shape[1])]
+    )
+    assert got.shape == want.shape == points.shape
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -194,30 +200,33 @@ def test_block_matches_kron_loop_on_random_tensors(seed, k, n, s):
 
 
 def test_block_of_empty_tensor_is_zero():
-    block = entry_block(SparseTensor(4, 3, {}), np.eye(3)[:, :2])
-    assert block.shape == (3, 8)
+    block = _field(*_entry_arrays(SparseTensor(4, 3, {})), np.ones((3, 2)))
+    assert block.shape == (3, 2)
     assert not block.any()
 
 
 def test_block_with_repeated_tail_indices():
     tensor = SparseTensor(4, 2, {(1, 1, 1, 2): 2.0, (2, 2, 1, 1): -1.0})
     assert_blocks_match(tensor, np.array([[1.0, 0.5], [-2.0, 3.0]]))
-    # with V = I, entry (1,1,1,2) lands in column (0,0,0) of row 2 only
-    assert np.array_equal(entry_block(tensor, np.eye(2))[1], np.eye(8)[0] * 2.0)
+    # f(e1) = 2 x1^3 e2 = 2 e2, and f(e2) = 0: x1 is a factor of both terms
+    assert np.allclose(entry_block(tensor, np.eye(2)), [[0.0, 0.0], [2.0, 0.0]])
 
 
-def test_block_keeps_tail_order():
-    """(1,2,3,h) without (2,1,3,h): only the ordered column is filled."""
-    tensor = SparseTensor(4, 3, {(1, 2, 3, 2): 1.5})
-    block = entry_block(tensor, np.eye(3))
-    assert block[1, (0 * 3 + 1) * 3 + 2] == 1.5
-    assert np.count_nonzero(block) == 1
+def test_block_ignores_tail_order():
+    """(1,2,3,h) and (3,1,2,h) are the same monomial x1 x2 x3, so they give
+    the same field, unlike their ordered Kronecker columns."""
     rng = np.random.default_rng(3)
-    assert_blocks_match(tensor, rng.standard_normal((3, 2)))
+    points = rng.standard_normal((3, 4))
+    first = SparseTensor(4, 3, {(1, 2, 3, 2): 1.5})
+    second = SparseTensor(4, 3, {(3, 1, 2, 2): 1.5})
+    assert not np.array_equal(unfold(first), unfold(second))
+    assert np.allclose(entry_block(first, points), entry_block(second, points))
+    assert np.allclose(entry_block(first, points)[1], 1.5 * points.prod(axis=0))
+    assert_blocks_match(first, points)
 
 
-def test_block_crosses_the_chunk_boundary():
-    """nnz > n, so entries go through several chunks and heads repeat across them."""
+def test_block_sums_repeated_heads():
+    """nnz > n, so many entries share a head and their terms add up."""
     rng = np.random.default_rng(11)
     tensor = random_tensor(rng, 4, 3, nnz=20)
     assert len(tensor.entries) > 2 * tensor.dim
@@ -225,12 +234,95 @@ def test_block_crosses_the_chunk_boundary():
 
 
 def test_block_capacity_guard_is_inclusive():
-    tensor = SparseTensor(4, 3, {(1, 1, 1, 2): 1.0})
-    basis = np.eye(3)[:, :2]
-    cap = 3 * 2**3
-    assert entry_block(tensor, basis, cap=cap).shape == (3, 8)
-    with pytest.raises(CapacityError):
-        entry_block(tensor, basis, cap=cap - 1)
+    """The cap counts the n x n basis plus one batch of min(8, n) points:
+    n cells each and nnz * (k-1) gathered tail cells."""
+    system = Polysystem(SparseTensor(4, 3, {(1, 1, 1, 2): 1.0}), np.eye(3)[:, :1])
+    cap = 3 * 3 + (3 + 3) * 3
+    assert strong_controllability(system, cap=cap).rank == 2
+    with pytest.raises(CapacityError, match=f"needs {cap} cells"):
+        strong_controllability(system, cap=cap - 1)
+
+
+def test_one_iteration_spans_several_batches():
+    """B spans e1, e2, e3 and A sends the 10 cubic monomials in x1, x2, x3 to
+    e4..e13, so the first iteration adds 10 directions: one batch of 8
+    points, then a batch of 2 that fills the basis."""
+    monomials = [t for t in product(range(1, 4), repeat=3) if list(t) == sorted(t)]
+    entries = {tail + (4 + j,): 1.0 for j, tail in enumerate(monomials)}
+    system = Polysystem(SparseTensor(4, 13, entries), np.eye(13)[:, :3])
+    report = strong_controllability(system)
+    assert (report.rank, report.iterations) == (13, 1)
+    assert report.tolerance == 13 * np.finfo(float).eps
+
+
+def test_rank_sees_monomials_not_tail_orderings():
+    """dx1 = u, dx2 = x1^3, and dx3 holds x1 x2^2 stored twice, as tails
+    (1,2,2) and (2,1,2) with opposite signs: the terms cancel and nothing
+    reaches e3, though the two ordered Kronecker columns do not cancel.
+    Stored once, under any ordering of its tail, the term gives rank 3."""
+    control = np.array([[1.0], [0.0], [0.0]])
+    cancelled = Polysystem(
+        SparseTensor(4, 3, {(1, 1, 1, 2): 1.0, (1, 2, 2, 3): 1.0, (2, 1, 2, 3): -1.0}),
+        control,
+    )
+    assert strong_controllability(cancelled).rank == 2
+    assert svd_rank(explicit_controllability_matrix(cancelled, terms=3)) == 2
+    for tail in [(1, 2, 2), (2, 1, 2), (2, 2, 1)]:
+        system = Polysystem(
+            SparseTensor(4, 3, {(1, 1, 1, 2): 1.0, tail + (3,): -0.7}), control
+        )
+        assert strong_controllability(system).rank == 3
+        assert svd_rank(explicit_controllability_matrix(system, terms=3)) == 3
+
+
+# --- the symmetrized Kronecker reference ---
+
+
+def reference_rank(system: Polysystem, tol: float) -> int:
+    """Rank of the Kronecker-block reduction on tail-symmetrized entries:
+    compress [V, A (V kron ... kron V)] by a thin SVD, cut off relative to
+    its largest singular value, until the rank stops growing.  A is scaled
+    to unit spectral norm."""
+    tensor = symmetrize(system.tensor)
+    a_norm = np.linalg.norm(unfold(tensor), 2) or 1.0
+    basis, rank = np.array(system.control), -1
+    while True:
+        u, sigma, _ = np.linalg.svd(basis, full_matrices=False)
+        new_rank = int(np.count_nonzero(sigma > tol * sigma[0]))
+        if new_rank in (0, rank, system.dim):
+            return new_rank
+        basis, rank = u[:, :new_rank], new_rank
+        basis = np.hstack([basis, kron_loop_block(tensor, basis) / a_norm])
+
+
+@pytest.mark.parametrize("n, k, m", [(5, 4, 2), (4, 4, 2), (8, 2, 2), (3, 6, 1)])
+def test_rank_equals_the_symmetrized_kronecker_reduction(n, k, m):
+    """Realizations drawn as ``validate`` draws them.  A rank above the
+    reference is a kept noise direction, one below a lost direction."""
+    rng = np.random.default_rng(1)
+    differing = []
+    for index in range(100):
+        pattern = pattern_of_shape(rng, n, k, m)
+        for j in range(3):
+            system = sample_realization(pattern, 1000 + index * 10 + j)
+            got = strong_controllability(system, tol=1e-10).rank
+            want = reference_rank(system, 1e-10)
+            if got != want:
+                differing.append((index, j, got, want))
+    assert not differing
+
+
+@pytest.mark.parametrize("index", [25, 70, 121])
+def test_seed_7_validate_trials_agree(index):
+    """``validate --n 5 --k 4 --m 2 --seed 7`` trials whose ordered Kronecker
+    columns gave rank 5 on each of 5 draws of an uncontrollable pattern."""
+    rng = np.random.default_rng(7)
+    for _ in range(index + 1):
+        pattern = pattern_of_shape(rng, 5, 4, 2)
+    controllable, ranks, agree = verdict_against_rank(pattern, 7 * 1000 + index * 10, 1e-10)
+    assert not controllable
+    assert len(ranks) == 5
+    assert agree, ranks
 
 
 # --- explicit controllability matrix ---

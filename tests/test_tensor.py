@@ -1,6 +1,6 @@
 """Sparse tensor kernels against a dense reshape oracle and hand values."""
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from polyctrl.tensor import (
     SparseTensor,
     contract,
     kron_power,
+    symmetrize,
     unfold,
 )
 
@@ -99,6 +100,40 @@ def test_unfold_capacity():
     assert unfold(cube, cap=81).shape == (3, 27)
     with pytest.raises(CapacityError, match="needs 81 cells"):
         unfold(cube, cap=80)
+
+
+# --- tail symmetrization ---
+
+
+def test_symmetrize_spreads_a_coefficient_over_distinct_orderings():
+    sym = symmetrize(SparseTensor(4, 3, {(1, 1, 2, 3): 3.0, (2, 2, 2, 1): -1.0}))
+    assert sym.entries == {
+        (1, 1, 2, 3): 1.0,
+        (1, 2, 1, 3): 1.0,
+        (2, 1, 1, 3): 1.0,
+        (2, 2, 2, 1): -1.0,
+    }
+
+
+def test_symmetrize_sums_orderings_and_drops_cancelled_entries():
+    # x1 x2 - x2 x1 is the zero polynomial; x1 x3 + x3 x1 is 2 x1 x3
+    tensor = SparseTensor(
+        3, 3, {(1, 2, 1): 1.0, (2, 1, 1): -1.0, (1, 3, 2): 1.0, (3, 1, 2): 1.0}
+    )
+    assert symmetrize(tensor).entries == {(1, 3, 2): 1.0, (3, 1, 2): 1.0}
+
+
+@given(tensors(), st.data())
+def test_symmetrize_keeps_the_field_and_makes_tails_symmetric(tensor, data):
+    sym = symmetrize(tensor)
+    for idx, coeff in sym.entries.items():
+        for tail in permutations(idx[:-1]):
+            assert sym.entries[tail + idx[-1:]] == pytest.approx(coeff)
+    x = np.array(
+        data.draw(st.lists(st.floats(-2, 2), min_size=tensor.dim, max_size=tensor.dim))
+    )
+    direct = contract(tensor, x)
+    assert np.allclose(contract(sym, x), direct, atol=1e-12 * (1.0 + np.abs(direct).max()))
 
 
 # --- contraction ---
