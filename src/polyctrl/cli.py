@@ -24,6 +24,7 @@ from .structural import (
     accessible_set,
     analyze_hypergraph,
     detect_dilation,
+    structural_verdict,
     verdict_against_rank,
 )
 from .system import Polysystem, ensure_valid, sample_realization, sparsity_pattern
@@ -37,10 +38,10 @@ FORMAT_VERSION = "1"
 
 
 def _timed(phases: dict[str, float], name: str, fn, *args, **kwargs):
-    """Call ``fn`` and record its wall time in milliseconds under ``name``."""
+    """Call ``fn`` and add its wall time in milliseconds to ``name``."""
     start = time.perf_counter()
     result = fn(*args, **kwargs)
-    phases[name] = (time.perf_counter() - start) * 1000.0
+    phases[name] = phases.get(name, 0.0) + (time.perf_counter() - start) * 1000.0
     return result
 
 
@@ -234,21 +235,31 @@ def _cmd_validate(args) -> int:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     check_shape(args.n, args.k, args.m)
     rng = np.random.default_rng(args.seed)
+    phases = dict.fromkeys(("patterns", "structural", "realizations"), 0.0)
     trials = []
     for index in range(args.trials):
-        pattern = pattern_of_shape(rng, args.n, args.k, args.m)
-        controllable, ranks, agree = verdict_against_rank(
-            pattern, args.seed * 1000 + index * 10, args.tol
+        pattern = _timed(phases, "patterns", pattern_of_shape, rng, args.n, args.k, args.m)
+        verdict = _timed(phases, "structural", structural_verdict, pattern)
+        controllable, ranks, agree = _timed(
+            phases,
+            "realizations",
+            verdict_against_rank,
+            pattern,
+            args.seed * 1000 + index * 10,
+            args.tol,
+            verdict.controllable,
         )
-        trials.append(
-            {
-                "index": index,
-                "controllable": controllable,
-                "ranks": ranks,
-                "n": pattern.dim,
-                "agree": agree,
-            }
-        )
+        trial = {
+            "index": index,
+            "controllable": controllable,
+            "ranks": ranks,
+            "n": pattern.dim,
+            "agree": agree,
+        }
+        if not agree:
+            # the pattern text replays the trial with ``analyze -``
+            trial["pattern"] = serialize(pattern)
+        trials.append(trial)
     disagreements = [trial["index"] for trial in trials if not trial["agree"]]
     report = {
         "format_version": FORMAT_VERSION,
@@ -264,6 +275,8 @@ def _cmd_validate(args) -> int:
         "all_agree": not disagreements,
         "detail": trials,
     }
+    if args.timings:
+        report["timings_ms"] = phases
     _emit(report, args)
     return 0
 
@@ -328,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--timings", action="store_true", help="include timing data in the report")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("gen", help="emit a seeded random pattern")

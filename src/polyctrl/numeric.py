@@ -19,6 +19,18 @@ An iteration ends when a batch keeps fewer directions than it has points
 (b generic points of a span of dimension d add min(b, d) directions), and
 the loop ends when an iteration adds nothing.
 
+The iteration runs on a stack of realizations of one support (R systems
+that share n and the entry indices, with their own coefficients and B), so
+a pattern's realizations cost one set of numpy calls per batch, not R.  The
+basis is an (R, n, n) array, and the matmuls and the SVD are stacked.
+Members in lockstep share one generator: at equal ranks they draw the same
+normals.  When the members' control ranks differ, or one batch keeps
+different numbers of directions, the stack splits by that number.  Each
+part carries on with its own rank, iteration start, per-member scales,
+iteration count and a copy of the generator, so every member's result is
+bit-identical to a run on that member alone; a stack of one never splits.
+Norms stay per member (``c @ c``, ``np.vdot``) for the same reason.
+
 The explicit controllability matrix runs the same recursion uncompressed
 on the tail-symmetrized unfolding: each step appends A applied to the
 Kronecker power of the whole matrix so far, so its width w becomes
@@ -28,16 +40,20 @@ only serves as a desk-scale oracle.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from itertools import compress
+from typing import Iterable
 
 import numpy as np
 
-from .system import Polysystem, ensure_valid
+from .system import Polysystem, SparsityPattern, ensure_order, ensure_valid, sample_coefficients
 from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, kron_power, symmetrize, unfold
 
 __all__ = [
     "RankReport",
     "explicit_controllability_matrix",
+    "realization_ranks",
     "reduced_controllability_matrix",
     "strong_controllability",
     "svd_rank",
@@ -81,55 +97,123 @@ def _entry_arrays(tensor: SparseTensor) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _field(tails, heads, coeffs, points: np.ndarray) -> np.ndarray:
     """f(x) = A x^(k-1) at each column x of ``points``, from the entry arrays:
-    gather the tail rows, multiply, and scatter to the heads."""
+    gather the tail rows, multiply, and scatter to the heads.  ``points``
+    may be a stack (R, n, b) of point sets, one per member, with ``coeffs``
+    of shape (R, nnz, 1)."""
     out = np.zeros(points.shape)
-    np.add.at(out, heads, points[tails].prod(axis=1) * coeffs)
+    np.add.at(out, (..., heads, slice(None)), points[..., tails, :].prod(axis=-2) * coeffs)
     return out
 
 
-def _compress(mat: np.ndarray, tol: float) -> tuple[np.ndarray, int, float]:
-    u, sigma, _ = np.linalg.svd(mat, full_matrices=False)
-    used_tol = _relative_tolerance(tol, mat.shape)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return u[:, :0], 0, used_tol
-    rank = int(np.count_nonzero(sigma > used_tol * sigma[0]))
-    return u[:, :rank], rank, used_tol
+class _Lockstep:
+    """Members of a stack that have kept the same number of directions in
+    every batch so far, with the loop state they share: the rank, the rank
+    the running iteration started from (None between iterations), the
+    iteration count, the generator and the cutoff, plus each member's basis
+    rows and scale."""
+
+    def __init__(self, members, basis, rank, rng, tolerance) -> None:
+        self.members, self.basis, self.rank = members, basis, rank
+        self.rng, self.tolerance = rng, tolerance
+        self.start = self.scale = None
+        self.iterations = 0
+        self.done = False
+
+    def run(self, n: int, tails, heads, coeffs, tol: float) -> list[_Lockstep]:
+        """Iterate until the loop ends and return [], or until the members
+        keep different numbers of directions in one batch and return one
+        part per number."""
+        coeffs = coeffs[self.members]
+        basis = self.basis
+        while True:
+            if self.start is None:
+                if self.done or not 0 < self.rank < n:
+                    return []
+                self.iterations += 1
+                self.start, self.scale = self.rank, [1.0] * len(basis)
+            rank, start = self.rank, self.start
+            width = min(_BATCH, n - rank)
+            self.tolerance = _relative_tolerance(tol, (n, rank + width))
+            normals = self.rng.standard_normal((start, width))
+            block = _field(tails, heads, coeffs, basis[:, :start].transpose(0, 2, 1) @ normals)
+            # per member, so every value matches a run on that member alone
+            self.scale = [s + np.vdot(b, b) for s, b in zip(self.scale, block)]
+            for _ in range(2):
+                block -= basis[:, :rank].transpose(0, 2, 1) @ (basis[:, :rank] @ block)
+            u, sigma, _ = np.linalg.svd(block, full_matrices=False)
+            kept = [
+                int(np.count_nonzero(row > self.tolerance * s**0.5))
+                for row, s in zip(sigma, self.scale)
+            ]
+            counts = set(kept)
+            if len(counts) > 1:
+                kept = np.array(kept)
+                return [self._part(kept == count, count, u, width, n) for count in counts]
+            self._keep(counts.pop(), u, width, n)
+
+    def _keep(self, count: int, u: np.ndarray, width: int, n: int) -> None:
+        """Append ``count`` new directions from ``u`` and end the iteration
+        when the batch kept fewer than it had points or the basis is full;
+        an iteration that added nothing ends the loop."""
+        self.basis[:, self.rank : self.rank + count] = u[:, :, :count].transpose(0, 2, 1)
+        self.rank += count
+        if count < width or self.rank == n:
+            self.done = self.rank == self.start
+            self.start = None
+
+    def _part(self, mask, count: int, u, width: int, n: int) -> _Lockstep:
+        part = copy.copy(self)
+        part.members, part.basis = self.members[mask], self.basis[mask]
+        part.scale = list(compress(self.scale, mask))
+        part.rng = copy.deepcopy(self.rng)
+        part._keep(count, u[mask], width, n)
+        return part
 
 
-def _reduce(system: Polysystem, tol: float, cap: int) -> tuple[np.ndarray, int, float]:
-    ensure_valid(system)
-    n = system.dim
-    tails, heads, coeffs = _entry_arrays(system.tensor)
-    # The basis rows, one batch of points and its gathered tail rows.
-    cells = n * n + (n + tails.size) * min(_BATCH, n)
+def _reduce(
+    n: int, tails, heads, coeffs: np.ndarray, controls: np.ndarray, tol: float, cap: int
+) -> list[tuple[np.ndarray, int, float]]:
+    """The rank iteration on a stack of realizations of one support.
+
+    ``tails`` and ``heads`` are the 0-based entry indices, ``coeffs`` the
+    (R, nnz, 1) coefficients, each member's scaled to unit Euclidean norm,
+    and ``controls`` the (R, n, m) control matrices.
+    Returns each member's basis rows (rank, n), iteration count and cutoff.
+    """
+    cells = len(controls) * (n * n + (n + tails.size) * min(_BATCH, n))
     if cells > cap:
         raise CapacityError(f"rank reduction needs {cells} cells, cap is {cap}")
-    u, rank, used_tol = _compress(np.array(system.control), tol)
-    basis = np.empty((n, n))
-    basis[:rank] = u.T
-    # One generator per call, so the rank is deterministic.
+    u, sigma, _ = np.linalg.svd(controls, full_matrices=False)
+    used_tol = _relative_tolerance(tol, controls.shape[1:])
+    ranks = np.array([np.count_nonzero(row > used_tol * row[0]) for row in sigma])
+    # One generator per stack, so the rank is deterministic; a group that
+    # starts from another control rank gets a copy of it.
     rng = np.random.default_rng(0)
-    iterations = 0
-    while 0 < rank < n:
-        iterations += 1
-        start, scale = rank, 1.0
-        while rank < n:
-            width = min(_BATCH, n - rank)
-            used_tol = _relative_tolerance(tol, (n, rank + width))
-            points = basis[:start].T @ rng.standard_normal((start, width))
-            block = _field(tails, heads, coeffs, points)
-            scale += np.vdot(block, block)
-            for _ in range(2):
-                block -= basis[:rank].T @ (basis[:rank] @ block)
-            u, sigma, _ = np.linalg.svd(block, full_matrices=False)
-            kept = int(np.count_nonzero(sigma > used_tol * scale**0.5))
-            basis[rank : rank + kept] = u[:, :kept].T
-            rank += kept
-            if kept < width:
-                break
-        if rank == start:
-            break
-    return basis[:rank].T, iterations, used_tol
+    work = []
+    for rank in set(ranks.tolist()):
+        members = np.flatnonzero(ranks == rank)
+        basis = np.empty((len(members), n, n))
+        basis[:, :rank] = u[members, :, :rank].transpose(0, 2, 1)
+        work.append(_Lockstep(members, basis, rank, copy.deepcopy(rng) if work else rng, used_tol))
+    results: list = [None] * len(controls)
+    while work:
+        group = work.pop()
+        parts = group.run(n, tails, heads, coeffs, tol)
+        work.extend(parts)
+        if not parts:
+            for member, basis in zip(group.members, group.basis):
+                results[member] = (basis[: group.rank], group.iterations, group.tolerance)
+    return results
+
+
+def _reduce_system(system: Polysystem, tol: float, cap: int) -> tuple[np.ndarray, int, float]:
+    """The rank iteration on one system: a stack of one."""
+    ensure_valid(system)
+    tails, heads, coeffs = _entry_arrays(system.tensor)
+    [(rows, iterations, used_tol)] = _reduce(
+        system.dim, tails, heads, coeffs[None], system.control[None], tol, cap
+    )
+    return rows.T, iterations, used_tol
 
 
 def reduced_controllability_matrix(
@@ -145,7 +229,7 @@ def reduced_controllability_matrix(
     scale of either.  ``cap`` bounds the cells of the n x n basis and one
     batch.
     """
-    basis, _, _ = _reduce(system, tol, cap)
+    basis, _, _ = _reduce_system(system, tol, cap)
     return basis
 
 
@@ -158,19 +242,43 @@ class RankReport:
     tolerance: float
 
 
+def _rank_report(n: int, rank: int, iterations: int, used_tol: float) -> RankReport:
+    return RankReport(
+        rank=rank,
+        n=n,
+        strongly_controllable=rank == n,
+        iterations=iterations,
+        tolerance=used_tol,
+    )
+
+
 def strong_controllability(
     system: Polysystem, tol: float = 0.0, cap: int = DEFAULT_CAP
 ) -> RankReport:
     """Rank verdict from the reduced controllability matrix."""
-    basis, iterations, used_tol = _reduce(system, tol, cap)
-    rank = basis.shape[1]
-    return RankReport(
-        rank=rank,
-        n=system.dim,
-        strongly_controllable=rank == system.dim,
-        iterations=iterations,
-        tolerance=used_tol,
+    basis, iterations, used_tol = _reduce_system(system, tol, cap)
+    return _rank_report(system.dim, basis.shape[1], iterations, used_tol)
+
+
+def realization_ranks(
+    pattern: SparsityPattern, seeds: Iterable[int], tol: float = 0.0, cap: int = DEFAULT_CAP
+) -> list[RankReport]:
+    """Rank verdicts of the pattern's realizations, one per seed, drawn by
+    ``sample_coefficients`` and reduced as one stack.  Each report equals
+    ``strong_controllability(sample_realization(pattern, seed), tol, cap)``
+    bit for bit; ``cap`` counts the cells of the whole stack."""
+    ensure_order(pattern.order)
+    index, coeffs, controls = sample_coefficients(pattern, seeds)
+    # the rows are contiguous, as a lone system's coefficients are, so each
+    # norm rounds as it does there
+    if coeffs.shape[1]:
+        for c in coeffs:
+            c /= np.sqrt(c @ c)
+    index = index.astype(np.intp) - 1
+    results = _reduce(
+        pattern.dim, index[:, :-1], index[:, -1], coeffs[:, :, None], controls, tol, cap
     )
+    return [_rank_report(pattern.dim, len(rows), it, used) for rows, it, used in results]
 
 
 def explicit_controllability_matrix(

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .hypergraph import DirectedHypergraph, build_hypergraph
-from .numeric import strong_controllability
-from .system import SparsityPattern, sample_realization
+from .numeric import realization_ranks
+from .system import SparsityPattern
 
 __all__ = [
     "DilationResult",
@@ -206,21 +206,21 @@ def structural_verdict(pattern: SparsityPattern) -> StructuralVerdict:
 
 
 def verdict_against_rank(
-    pattern: SparsityPattern, seed: int, tol: float
+    pattern: SparsityPattern, seed: int, tol: float, controllable: bool | None = None
 ) -> tuple[bool, list[int], bool]:
     """Check the structural verdict against the rank of sampled realizations.
 
     Returns (controllable, ranks, agree).  Realization j is drawn with seed
     ``seed + j``: 3 of them for a controllable pattern, which agrees when
     one reaches full rank (a generic realization should), and 5 for an
-    uncontrollable one, which agrees when none does.
+    uncontrollable one, which agrees when none does.  The realizations are
+    drawn and ranked as one stack (``realization_ranks``).  ``controllable``
+    is the pattern's structural verdict when the caller already has it.
     """
-    controllable = structural_verdict(pattern).controllable
+    if controllable is None:
+        controllable = structural_verdict(pattern).controllable
     draws = 3 if controllable else 5
-    ranks = [
-        strong_controllability(sample_realization(pattern, seed + j), tol=tol).rank
-        for j in range(draws)
-    ]
+    ranks = [report.rank for report in realization_ranks(pattern, range(seed, seed + draws), tol)]
     if controllable:
         return controllable, ranks, any(r == pattern.dim for r in ranks)
     return controllable, ranks, all(r < pattern.dim for r in ranks)

@@ -19,7 +19,9 @@ from .tensor import SparseTensor
 __all__ = [
     "Polysystem",
     "SparsityPattern",
+    "ensure_order",
     "ensure_valid",
+    "sample_coefficients",
     "sample_realization",
     "sparsity_pattern",
     "validate",
@@ -61,12 +63,7 @@ class Polysystem:
 
 def validate(system: Polysystem) -> list[str]:
     """Return all invariant violations, empty when the system is well formed."""
-    violations = []
-    if system.tensor.order % 2 != 0:
-        violations.append(
-            f"parity: tensor order k={system.tensor.order} is odd, "
-            "so the drift degree k-1 is not odd"
-        )
+    violations = _parity_violations(system.tensor.order)
     if system.control.ndim != 2:
         violations.append(f"shape: control matrix has {system.control.ndim} axes")
         return violations
@@ -83,10 +80,25 @@ def validate(system: Polysystem) -> list[str]:
     return violations
 
 
-def ensure_valid(system: Polysystem) -> None:
-    violations = validate(system)
+def _parity_violations(order: int) -> list[str]:
+    if order % 2 != 0:
+        return [f"parity: tensor order k={order} is odd, so the drift degree k-1 is not odd"]
+    return []
+
+
+def _raise_violations(violations: list[str]) -> None:
     if violations:
         raise ValueError("invalid system: " + "; ".join(violations))
+
+
+def ensure_valid(system: Polysystem) -> None:
+    _raise_violations(validate(system))
+
+
+def ensure_order(order: int) -> None:
+    """Raise as ``ensure_valid`` does for a system of this tensor order.  A
+    realization drawn from a pattern can fail no other check."""
+    _raise_violations(_parity_violations(order))
 
 
 def _support_index(support, width: int, what: str) -> tuple[frozenset, np.ndarray]:
@@ -223,23 +235,57 @@ def sparsity_pattern(system: Polysystem) -> SparsityPattern:
     )
 
 
-def _draw_coefficient(rng: np.random.Generator) -> float:
-    sign = -1.0 if rng.integers(0, 2) == 0 else 1.0
-    return sign * rng.uniform(0.5, 2.0)
+# numpy draws one coefficient as ``integers(0, 2)``, Lemire's method on a
+# 32-bit half of a raw PCG64 word (it never rejects at range 2, and the
+# other half is kept for the next call), then ``uniform(0.5, 2.0)``, one raw
+# word.  So a pair of coefficients reads three raw words [S, U0, U1]: the
+# signs are the top bits of S's low and high halves (0 is negative), and
+# each magnitude is 0.5 + 1.5 * (U >> 11) * 2**-53.
+_SIGN_SHIFT = np.array([31, 63], dtype=np.uint64)
+
+
+def sample_coefficients(
+    pattern: SparsityPattern, seeds: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one realization of the pattern per seed, all in one pass.
+
+    Returns the tensor support as an (nnz, order) int64 array in
+    lexicographic row order, the tensor coefficients as a C-contiguous
+    (R, nnz) array and the control matrices as an (R, dim, inputs) array, row r drawn from
+    the r-th seed.  Each coefficient is sign * magnitude with the sign
+    uniform on {-1, +1} and the magnitude uniform on [0.5, 2.0], so values
+    never fall inside (-0.5, 0.5).  Coefficients are drawn in lexicographic
+    order of the supports, tensor first, then control, and every value is
+    bit-identical to drawing them one at a time from
+    ``np.random.default_rng(seed)`` with ``integers(0, 2)`` for the sign
+    (0 is negative) and ``uniform(0.5, 2.0)`` for the magnitude.
+    """
+    index = pattern.tensor_index
+    support = index.tolist()
+    index = index[sorted(range(len(support)), key=support.__getitem__)]
+    control = sorted(pattern.control_support)
+    nnz = len(index)
+    count = nnz + len(control)
+    pairs = (count + 1) // 2
+    seeds = list(seeds)
+    # one row of [S, U0, U1] words per pair; an odd count leaves the last
+    # U1 unread, as zero
+    raw = np.zeros((len(seeds), pairs, 3), dtype=np.uint64)
+    for r, seed in enumerate(seeds):
+        raw[r].flat[: count + pairs] = np.random.PCG64(int(seed)).random_raw(count + pairs)
+    signs = (raw[:, :, :1] >> _SIGN_SHIFT) & np.uint64(1)
+    magnitudes = 0.5 + 1.5 * ((raw[:, :, 1:] >> np.uint64(11)) * 2.0**-53)
+    values = (magnitudes * (signs * 2.0 - 1.0)).reshape(len(seeds), 2 * pairs)[:, :count]
+    controls = np.zeros((len(seeds), pattern.dim, pattern.inputs))
+    if control:
+        rows, cols = np.array(control).T - 1
+        controls[:, rows, cols] = values[:, nnz:]
+    return index, np.ascontiguousarray(values[:, :nnz]), controls
 
 
 def sample_realization(pattern: SparsityPattern, seed: int) -> Polysystem:
-    """Draw a concrete system on the pattern's support.
-
-    Every coefficient is sign * magnitude with the sign uniform on {-1, +1}
-    and the magnitude uniform on [0.5, 2.0], so values never fall inside
-    (-0.5, 0.5).  Supports are visited in lexicographic order (tensor first,
-    then control), which makes the draw bit-identical for a given seed.
-    """
-    rng = np.random.default_rng(int(seed))
-    entries = {idx: _draw_coefficient(rng) for idx in sorted(pattern.tensor_support)}
-    control = np.zeros((pattern.dim, pattern.inputs))
-    for i, j in sorted(pattern.control_support):
-        control[i - 1, j - 1] = _draw_coefficient(rng)
-    tensor = SparseTensor(pattern.order, pattern.dim, entries)
-    return Polysystem(tensor, control)
+    """Draw a concrete system on the pattern's support: the one-seed case
+    of ``sample_coefficients``, so the draw is bit-identical for a seed."""
+    index, coeffs, controls = sample_coefficients(pattern, [seed])
+    entries = dict(zip(map(tuple, index.tolist()), coeffs[0].tolist()))
+    return Polysystem(SparseTensor(pattern.order, pattern.dim, entries), controls[0])

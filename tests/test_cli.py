@@ -1,11 +1,13 @@
 """CLI reports, exit codes, and determinism, driven through run()."""
 
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from polyctrl.cli import build_parser, run
@@ -310,10 +312,111 @@ def test_validate_json_bytes(capsys):
     assert capsys.readouterr().out == report_text(expected)
 
 
+def test_validate_disagreement_carries_the_pattern_text(monkeypatch, capsys):
+    def odd_trials_disagree(pattern, seed, tol, controllable):
+        return controllable, [0] * 3, seed % 20 == 0
+
+    monkeypatch.setattr("polyctrl.cli.verdict_against_rank", odd_trials_disagree)
+    code, report = run_json(capsys, ["validate", "--json", "--trials", "4", "--n", "3"])
+    assert code == 0
+    assert report["disagreements"] == [1, 3]
+    for trial in report["detail"]:
+        assert ("pattern" in trial) is (trial["index"] in (1, 3))
+    # the text replays with ``analyze -``
+    text = report["detail"][1]["pattern"]
+    assert text.startswith("tensor 4 3\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, replay = run_json(capsys, ["analyze", "-", "--json"])
+    assert code == 0
+    assert replay["input"]["kind"] == "pattern"
+    assert replay["structural"]["controllable"] is report["detail"][1]["controllable"]
+
+
+def test_validate_timings_are_opt_in(capsys):
+    argv = ["validate", "--json", "--trials", "3", "--n", "2", "--seed", "1"]
+    assert run(argv) == 0
+    plain = json.loads(capsys.readouterr().out)
+    code, timed = run_json(capsys, argv + ["--timings"])
+    assert code == 0
+    phases = timed.pop("timings_ms")
+    assert sorted(phases) == ["patterns", "realizations", "structural"]
+    assert all(value >= 0.0 for value in phases.values())
+    assert timed == plain
+
+
 def test_gen_bytes(capsys):
     assert run(["gen", "--n", "3", "--k", "4", "--m", "2", "--seed", "5", "--json"]) == 0
     expected = "tensor 4 3\n2 2 2 1\n3 1 1 2\n3 3 1 3\nmatrix 3 2\n1 1\n2 1\n"
     assert capsys.readouterr().out == expected
+
+
+# --- sha256 pins of larger reports ---
+
+def sha256_of_output(capsys, argv):
+    assert run(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+VALIDATE_PINS = {
+    (5, 4, 2, 1): "bc4b5e8b89f082a8fe41500cad5822d5be940418202687c0ffecb9dfb0842d22",
+    (5, 4, 2, 7): "f86d8a8e0b9b82788a4f4e2e41a68503aa22bdf9c18f954461f4b00652acc506",
+    (8, 2, 2, 1): "78b8ae644f496ba233b1ba54295693be12ac99951598a997af5b3d39a3a9c05c",
+    (8, 2, 2, 7): "927d67a43557195819cfc149f93863347e88c60bce09b11f468a6acb1d64070e",
+}
+
+
+@pytest.mark.parametrize("n, k, m, seed", sorted(VALIDATE_PINS))
+def test_validate_json_sha256(capsys, n, k, m, seed):
+    argv = ["validate", "--json", "--trials", "200", "--n", str(n), "--k", str(k),
+            "--m", str(m), "--seed", str(seed)]
+    assert sha256_of_output(capsys, argv) == VALIDATE_PINS[n, k, m, seed]
+
+
+def chain_text(n, k, seed):
+    """x_{i+1}' = +-x_i^(k-1) driven at vertex 1, signs drawn from the seed."""
+    signs = np.random.default_rng([seed, n, k]).choice([-1.0, 1.0], size=n).tolist()
+    lines = [f"tensor {k} {n}"]
+    lines += [" ".join([str(i)] * (k - 1) + [str(i + 1), repr(signs[i])]) for i in range(1, n)]
+    lines += [f"matrix {n} 1", f"1 1 {signs[0]!r}"]
+    return "\n".join(lines) + "\n"
+
+
+def cascade_pattern_text(layers=(2, 3, 5, 7, 5), m=2, k=4, seed=1):
+    """A k-mode cascade pattern: inputs feed vertices 1..m, and each vertex of
+    a later layer heads two entries whose tails take one vertex from the
+    layer before and the rest from earlier layers."""
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum([1, m, *layers])
+    n = int(starts[-1]) - 1
+    entries = set()
+    for t in range(1, len(starts) - 1):
+        for head in range(starts[t], starts[t + 1]):
+            while len(entries) < 2 * (head - m):
+                first = int(rng.integers(starts[t - 1], starts[t]))
+                rest = rng.integers(1, starts[t], size=k - 2).tolist()
+                entries.add(tuple(sorted([first, *rest])) + (head,))
+    lines = [f"tensor {k} {n}", *(" ".join(map(str, idx)) for idx in sorted(entries))]
+    lines += [f"matrix {n} {m}", *(f"{j} {j}" for j in range(1, m + 1))]
+    return "\n".join(lines) + "\n"
+
+
+RANK_PINS = {
+    "cubic-chain-18": (lambda: chain_text(18, 4, 1), []),
+    "cascade-24": (cascade_pattern_text, ["--seed", "5"]),
+    "linear-chain-200": (lambda: chain_text(200, 2, 1), []),
+}
+RANK_SHA256 = {
+    "cubic-chain-18": "d3677b3c22689c73e1e2a643f17726dd4a0e87871dad10dcce67427322965b2c",
+    "cascade-24": "2f4b2532c6ce700910c87cd7ff35c749ea6a3c7d97c5bd9cd2f13177d6fb5cb1",
+    "linear-chain-200": "8ef91f6eaf2ed5343702ffce295bb0e74dbe218d5e35dd7e9ead0e3debb40618",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_PINS))
+def test_rank_json_sha256(tmp_path, capsys, name):
+    text, flags = RANK_PINS[name]
+    path = write(tmp_path, text())
+    assert sha256_of_output(capsys, ["rank", path, "--json", *flags]) == RANK_SHA256[name]
 
 
 # --- determinism ---

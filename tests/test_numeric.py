@@ -21,14 +21,16 @@ from polyctrl.generate import pattern_of_shape, random_system_pattern
 from polyctrl.numeric import (
     _entry_arrays,
     _field,
+    _reduce,
     explicit_controllability_matrix,
+    realization_ranks,
     reduced_controllability_matrix,
     strong_controllability,
     svd_rank,
 )
 from polyctrl.oracle import kalman_rank
 from polyctrl.structural import verdict_against_rank
-from polyctrl.system import Polysystem, sample_realization
+from polyctrl.system import Polysystem, SparsityPattern, sample_realization, sparsity_pattern
 from polyctrl.tensor import CapacityError, SparseTensor, symmetrize, unfold
 
 
@@ -323,6 +325,72 @@ def test_seed_7_validate_trials_agree(index):
     assert not controllable
     assert len(ranks) == 5
     assert agree, ranks
+
+
+# --- the stacked rank iteration ---
+
+
+def rank_triples(reports):
+    return [(r.rank, r.iterations, r.tolerance) for r in reports]
+
+
+def single_runs(pattern, seeds, tol):
+    return [strong_controllability(sample_realization(pattern, s), tol=tol) for s in seeds]
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+@pytest.mark.parametrize("n, k, m", [(5, 4, 2), (8, 2, 2), (3, 6, 1), (4, 4, 2)])
+def test_stacked_ranks_equal_single_runs(n, k, m, tol):
+    """Realizations drawn as ``validate`` draws them: every member of the
+    stack gets the rank, iteration count and cutoff of its own run."""
+    rng = np.random.default_rng(3)
+    for index in range(60):
+        pattern = pattern_of_shape(rng, n, k, m)
+        seeds = range(3000 + 10 * index, 3005 + 10 * index)
+        assert rank_triples(realization_ranks(pattern, seeds, tol)) == rank_triples(
+            single_runs(pattern, seeds, tol)
+        ), index
+
+
+def test_divergent_stack_splits_and_matches_single_runs():
+    """``validate --n 8 --k 2 --m 2 --seed 7 --tol 0``, trial 38: realization
+    3 keeps a rounding residual as a seventh direction (the automatic cutoff's
+    known weakness), so the stack splits mid-iteration."""
+    rng = np.random.default_rng(7)
+    for _ in range(39):
+        pattern = pattern_of_shape(rng, 8, 2, 2)
+    seeds = range(7380, 7385)
+    stacked = realization_ranks(pattern, seeds, 0.0)
+    assert [r.rank for r in stacked] == [6, 6, 6, 7, 6]
+    assert rank_triples(stacked) == rank_triples(single_runs(pattern, seeds, 0.0))
+    assert verdict_against_rank(pattern, 7380, 0.0) == (False, [6, 6, 6, 7, 6], True)
+
+
+def test_stack_members_with_different_control_ranks():
+    """Members whose B differ in rank start in different groups."""
+    tensor = SparseTensor(4, 4, {(1, 1, 1, 3): 1.0, (2, 2, 2, 4): -0.5, (1, 2, 2, 4): 0.8})
+    controls = np.array([np.eye(4)[:, :2], np.outer([1.0, 2.0, 0.0, 0.0], [1.0, 1.0])])
+    tails, heads, coeffs = _entry_arrays(tensor)
+    stacked = _reduce(4, tails, heads, np.stack([coeffs] * 2), controls, 0.0, 1 << 20)
+    singles = [strong_controllability(Polysystem(tensor, control)) for control in controls]
+    assert [(len(rows), it, used) for rows, it, used in stacked] == rank_triples(singles)
+    assert [len(rows) for rows, _, _ in stacked] == [4, 2]
+
+
+def test_stack_cap_counts_every_member():
+    pattern = sparsity_pattern(cubic_forward_system())
+    # one member: a 2 x 2 basis plus a batch of 2 points, 2 cells each and
+    # 3 gathered tail cells
+    cells = 2 * 2 + (2 + 3) * 2
+    assert [r.rank for r in realization_ranks(pattern, [1, 2, 3], cap=3 * cells)] == [2, 2, 2]
+    with pytest.raises(CapacityError, match=f"needs {3 * cells} cells"):
+        realization_ranks(pattern, [1, 2, 3], cap=3 * cells - 1)
+
+
+def test_stack_refuses_an_odd_order():
+    pattern = SparsityPattern(3, 2, 1, {(1, 1, 2)}, {(1, 1)})
+    with pytest.raises(ValueError, match="invalid system: parity"):
+        realization_ranks(pattern, [0])
 
 
 # --- explicit controllability matrix ---

@@ -14,6 +14,7 @@ from polyctrl.system import (
     Polysystem,
     SparsityPattern,
     ensure_valid,
+    sample_coefficients,
     sample_realization,
     sparsity_pattern,
     validate,
@@ -164,3 +165,67 @@ def test_realization_preserves_the_pattern(pattern_seed, draw_seed):
     pattern = random_system_pattern(pattern_seed)
     system = sample_realization(pattern, draw_seed)
     assert sparsity_pattern(system) == pattern
+
+
+# --- the bulk draw ---
+
+
+def scalar_realization(pattern, seed):
+    """Reference draw, one coefficient at a time: ``integers(0, 2)`` for the
+    sign (0 is negative), then ``uniform(0.5, 2.0)`` for the magnitude, over
+    the sorted tensor support and then the sorted control support."""
+    rng = np.random.default_rng(seed)
+
+    def draw_coefficient():
+        sign = -1.0 if rng.integers(0, 2) == 0 else 1.0
+        return sign * rng.uniform(0.5, 2.0)
+
+    entries = {idx: draw_coefficient() for idx in sorted(pattern.tensor_support)}
+    control = np.zeros((pattern.dim, pattern.inputs))
+    for i, j in sorted(pattern.control_support):
+        control[i - 1, j - 1] = draw_coefficient()
+    return entries, control
+
+
+def sized_pattern(seed):
+    """A pattern of 0 to 25 coefficients in all, split between the tensor
+    (k = 2 at n = 6, or k = 4 at n = 3) and a control support of at most 12."""
+    rng = np.random.default_rng([seed, 5])
+    count = seed % 26
+    k, n, m = (2, 6, 2) if seed % 2 else (4, 3, 4)
+    tensor_nnz = int(rng.integers(max(0, count - n * m), count + 1))
+    cells = rng.choice(n**k, size=tensor_nnz, replace=False)
+    tensor = [tuple(int(i) + 1 for i in np.unravel_index(c, (n,) * k)) for c in cells]
+    slots = rng.choice(n * m, size=count - tensor_nnz, replace=False)
+    control = [(int(s) // m + 1, int(s) % m + 1) for s in slots]
+    return SparsityPattern(k, n, m, tensor, control)
+
+
+def test_bulk_draw_is_bit_identical_to_the_scalar_draw():
+    counts, empty_tensor = set(), 0
+    for seed in range(2600):
+        pattern = sized_pattern(seed)
+        entries, control = scalar_realization(pattern, 7 * seed + 3)
+        system = sample_realization(pattern, 7 * seed + 3)
+        assert list(system.tensor.entries.items()) == list(entries.items()), seed
+        assert system.control.tobytes() == control.tobytes(), seed
+        counts.add(len(entries) + len(pattern.control_support))
+        empty_tensor += not entries
+    assert counts == set(range(26))
+    assert empty_tensor > 100
+
+
+def test_sample_coefficients_stacks_one_draw_per_seed():
+    pattern = random_system_pattern(4)
+    seeds = [11, 12, 13, 11]
+    index, coeffs, controls = sample_coefficients(pattern, seeds)
+    assert index.tolist() == sorted(map(list, pattern.tensor_support))
+    assert coeffs.shape == (4, len(index))
+    assert controls.shape == (4, pattern.dim, pattern.inputs)
+    for r, seed in enumerate(seeds):
+        system = sample_realization(pattern, seed)
+        assert coeffs[r].tolist() == list(system.tensor.entries.values())
+        assert np.array_equal(controls[r], system.control)
+    assert np.array_equal(coeffs[0], coeffs[3])
+    empty = sample_coefficients(pattern, [])
+    assert [a.shape for a in empty] == [index.shape, (0, len(index)), (0, *controls.shape[1:])]
