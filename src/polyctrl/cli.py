@@ -18,7 +18,7 @@ import time
 from .formats import parse_input, serialize
 from .generate import check_shape, pattern_of_shape, random_pattern
 from .hypergraph import DirectedHypergraph, build_hypergraph
-from .numeric import strong_controllability
+from .numeric import check_tolerance, strong_controllability
 from .oracle import lie_algebra_rank_at_origin
 from .structural import (
     accessible_set,
@@ -72,7 +72,7 @@ def _input_section(obj) -> dict:
     else:
         kind = "pattern"
         tensor_nnz = len(obj.tensor_index)
-        control_nnz = len(obj.control_support)
+        control_nnz = len(obj.control_index)
     return {
         "kind": kind,
         "k": obj.order,
@@ -234,6 +234,7 @@ def _cmd_validate(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     check_shape(args.n, args.k, args.m)
+    check_tolerance(args.tol)
     rng = np.random.default_rng(args.seed)
     phases = dict.fromkeys(("patterns", "structural", "realizations"), 0.0)
     trials = []
@@ -379,3 +380,7 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 0
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -106,7 +106,7 @@ _BULK_BYTES = b"0123456789 \t\n"
 
 def _bulk_rows(block: str, highs: tuple[int, ...]) -> np.ndarray | None:
     """A section body read in one numpy pass: an int64 array with one row
-    per line and column c in [1, highs[c]].
+    per line, rows in lexicographic order, and column c in [1, highs[c]].
 
     None when the body holds anything but digits and blanks, a row of
     another length, an index out of range or a repeated row.
@@ -123,8 +123,8 @@ def _bulk_rows(block: str, highs: tuple[int, ...]) -> np.ndarray | None:
         return None
     if any(col.min() < 1 or col.max() > high for col, high in zip(rows.T, highs)):
         return None
-    ordered = rows[np.lexsort(rows.T)]
-    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+    rows = rows[np.lexsort(rows.T[::-1])]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         return None
     return rows
 
@@ -163,7 +163,7 @@ def _bulk_pattern(text: str) -> SparsityPattern | None:
     control = _bulk_rows(text[matrix_end:], (n, m))
     if tensor is None or control is None:
         return None
-    return SparsityPattern.from_index(k, n, m, tensor, frozenset(map(tuple, control.tolist())))
+    return SparsityPattern.from_index(k, n, m, tensor, control)
 
 
 def parse_system(text: str) -> Polysystem | SparsityPattern:
@@ -350,10 +350,8 @@ def serialize(obj: Polysystem | SparsityPattern) -> str:
         return "\n".join(lines) + "\n"
     if isinstance(obj, SparsityPattern):
         lines = [f"tensor {obj.order} {obj.dim}"]
-        lines.extend(
-            " ".join(str(i) for i in idx) for idx in sorted(obj.tensor_support)
-        )
+        lines.extend(" ".join(map(str, idx)) for idx in obj.tensor_index.tolist())
         lines.append(f"matrix {obj.dim} {obj.inputs}")
-        lines.extend(f"{i} {j}" for i, j in sorted(obj.control_support))
+        lines.extend(f"{i} {j}" for i, j in obj.control_index.tolist())
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -37,13 +37,16 @@ def _draw_control_support(rng, n, m, count):
 
 
 def check_shape(n: int, k: int, m: int) -> None:
-    """Reject a shape no pattern can have: n or m below 1, or an odd k."""
+    """Reject a shape no pattern can have: n or m below 1, an odd k or k
+    below 2."""
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
     if m < 1:
         raise ValueError(f"input count m must be >= 1, got {m}")
     if k % 2:
         raise ValueError(f"tensor order k={k} is odd; the drift degree k-1 must be odd")
+    if k < 2:
+        raise ValueError(f"tensor order k must be >= 2, got {k}")
 
 
 def pattern_with_rng(

@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .system import SparsityPattern
+from .tensor import DEFAULT_CAP, CapacityError
 
 __all__ = [
     "DirectedHypergraph",
@@ -140,6 +141,9 @@ class DirectedHypergraph:
         return graph
 
     def _fill(self, n, m, tail_ptr, tail_idx, head_ptr, head_idx, edges) -> None:
+        # the structural algorithms keep tables with one slot per vertex
+        if n + m > DEFAULT_CAP:
+            raise CapacityError(f"graph has {n + m} vertices, cap is {DEFAULT_CAP}")
         # A graph built from Hyperedges keeps their tuple as ``edges``; one
         # built from a table reads its Hyperedges back only when asked.
         table = (tuple(tail_ptr), tuple(tail_idx), tuple(head_ptr), tuple(head_idx))
@@ -177,11 +181,6 @@ class DirectedHypergraph:
         return frozenset(range(self.n + 1, self.n + self.m + 1))
 
 
-# Below this many tensor entries the grouping sorts Python lists: numpy's
-# fixed cost per call then outweighs the sort it speeds up.
-_NUMPY_GROUPING_MIN = 32
-
-
 def _group_tensor(pattern: SparsityPattern) -> tuple[list[int], list[int], list[int]]:
     """Group tensor entries into edges by sorted tail, in ascending (tail,
     head) order.
@@ -190,23 +189,6 @@ def _group_tensor(pattern: SparsityPattern) -> tuple[list[int], list[int], list[
     (offsets, then indices).  A head repeated under one tail, which comes
     from a permuted tail, appears once.
     """
-    if len(pattern.tensor_index) < _NUMPY_GROUPING_MIN:
-        tail_idx: list[int] = []
-        head_ptr: list[int] = []
-        head_idx: list[int] = []
-        previous = None
-        tails_heads = ([*sorted(idx[:-1]), idx[-1]] for idx in pattern.tensor_support)
-        for *tail, head in sorted(tails_heads):
-            if tail != previous:
-                tail_idx.extend(tail)
-                head_ptr.append(len(head_idx))
-                head_idx.append(head)
-                previous = tail
-            elif head != head_idx[-1]:
-                head_idx.append(head)
-        head_ptr.append(len(head_idx))
-        return tail_idx, head_ptr, head_idx
-
     # Sort each tail row, then the rows by (tail, head): entries of one tail
     # multiset become adjacent, heads ascending.  An edge starts where the
     # tail changes; a row equal to the one before it is dropped.
@@ -234,7 +216,8 @@ def build_hypergraph(pattern: SparsityPattern) -> DirectedHypergraph:
     """
     n = pattern.dim
     rows_by_column: dict[int, list[int]] = {}
-    for i, j in sorted(pattern.control_support):
+    # (row, column) pairs in lexicographic order: each column's rows ascend
+    for i, j in pattern.control_index.tolist():
         rows_by_column.setdefault(j, []).append(i)
     tail_ptr, tail_idx, head_ptr, head_idx = [0], [], [0], []
     for j in sorted(rows_by_column):

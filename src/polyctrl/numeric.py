@@ -52,6 +52,7 @@ from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, kron_power, symmet
 
 __all__ = [
     "RankReport",
+    "check_tolerance",
     "explicit_controllability_matrix",
     "realization_ranks",
     "reduced_controllability_matrix",
@@ -64,10 +65,15 @@ _EPS = float(np.finfo(np.float64).eps)
 _BATCH = 8
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse a relative cutoff outside [0, 1), NaN included."""
+    if not 0 <= tol < 1:
+        raise ValueError(f"tolerance must be in [0, 1), got {tol}")
+
+
 def _relative_tolerance(tol: float, shape: tuple[int, int]) -> float:
     # tol = 0 selects the usual automatic cutoff max(dims) * machine epsilon.
-    if tol < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
+    check_tolerance(tol)
     return tol if tol > 0 else max(shape) * _EPS
 
 

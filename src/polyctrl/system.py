@@ -101,48 +101,49 @@ def ensure_order(order: int) -> None:
     _raise_violations(_parity_violations(order))
 
 
-def _support_index(support, width: int, what: str) -> tuple[frozenset, np.ndarray]:
-    """A support as a frozenset of int tuples and as an int64 array of
-    shape (len(support), width), rows in the frozenset's iteration order.
+def _support_index(support, width: int, what: str) -> np.ndarray:
+    """A support as a read-only int64 array of shape (len(support), width):
+    its distinct rows in lexicographic order.
 
     Every tuple must have ``width`` entries; entries that are not ints are
-    converted as ``int()`` would.  The checks run over the whole support in
-    builtins and numpy, not tuple by tuple.
+    converted as ``int()`` would, and rows equal after that are merged.
     """
-    if not isinstance(support, frozenset):
-        support = frozenset(map(tuple, support))
+    if not isinstance(support, (set, frozenset)):
+        support = set(map(tuple, support))
     if set(map(len, support)) - {width}:
         idx = next(idx for idx in support if len(idx) != width)
         raise ValueError(f"{what} {idx} has {len(idx)} modes, expected {width}")
     if set(map(type, chain.from_iterable(support))) - {int}:
-        support = frozenset(zip(*[map(int, chain.from_iterable(support))] * width))
+        support = set(zip(*[map(int, chain.from_iterable(support))] * width))
     try:
         index = np.fromiter(
-            chain.from_iterable(support), dtype=np.int64, count=len(support) * width
+            chain.from_iterable(sorted(support)), dtype=np.int64, count=len(support) * width
         )
     except OverflowError:
         raise ValueError(f"{what} entries outside the int64 range") from None
     index = index.reshape(len(support), width)
     index.setflags(write=False)
-    return support, index
+    return index
 
 
-def _outside(values: np.ndarray, high: int) -> bool:
-    return values.size > 0 and (values.min() < 1 or values.max() > high)
+def _first_outside(index: np.ndarray, highs) -> tuple | None:
+    """The first row with an entry outside [1, high] of its column, or None."""
+    bad = ((index < 1) | (index > highs)).any(axis=1)
+    return tuple(index[bad][0].tolist()) if bad.any() else None
 
 
 class SparsityPattern:
     """Structural support of a system: which coefficients may be nonzero.
 
-    ``tensor_index`` holds the tensor support, 1-based multi-indices of
-    length ``order``, as a read-only (nnz, order) int64 array with one row
-    per entry; ``tensor_support`` reads it back as a frozenset of tuples,
-    built on first access.  ``control_support`` holds (row, column) pairs of
-    the control matrix.  The constructor checks its arguments;
-    ``from_index`` wraps ones that are already valid.
+    The support is held as two read-only int64 arrays of distinct rows in
+    lexicographic order: ``tensor_index`` (nnz, order) holds the tensor's
+    1-based multi-indices and ``control_index`` (c, 2) the (row, column)
+    pairs of the control matrix.  ``tensor_support`` and ``control_support``
+    read them back as frozensets of tuples.  The constructor checks its
+    arguments; ``from_index`` wraps arrays that are already canonical.
     """
 
-    __slots__ = ("order", "dim", "inputs", "tensor_index", "control_support", "_tensor_support")
+    __slots__ = ("order", "dim", "inputs", "tensor_index", "control_index")
 
     def __init__(
         self,
@@ -158,15 +159,15 @@ class SparsityPattern:
             raise ValueError(f"pattern dimension must be >= 1, got {dim}")
         if inputs < 1:
             raise ValueError(f"pattern needs at least one input, got {inputs}")
-        tsup, tensor_index = _support_index(tensor_support, order, "multi-index")
-        if _outside(tensor_index, dim):
-            idx = next(idx for idx in tsup if min(idx) < 1 or max(idx) > dim)
+        tensor_index = _support_index(tensor_support, order, "multi-index")
+        idx = _first_outside(tensor_index, dim)
+        if idx is not None:
             raise ValueError(f"multi-index {idx} outside [1, {dim}]")
-        csup, control_index = _support_index(control_support, 2, "control index")
-        if _outside(control_index[:, 0], dim) or _outside(control_index[:, 1], inputs):
-            idx = next((i, j) for i, j in csup if not (1 <= i <= dim and 1 <= j <= inputs))
+        control_index = _support_index(control_support, 2, "control index")
+        idx = _first_outside(control_index, [dim, inputs])
+        if idx is not None:
             raise ValueError(f"control index {idx} out of range")
-        self._fill(order, dim, inputs, tensor_index, csup, tsup)
+        self._fill(order, dim, inputs, tensor_index, control_index)
 
     @classmethod
     def from_index(
@@ -175,14 +176,16 @@ class SparsityPattern:
         dim: int,
         inputs: int,
         tensor_index: np.ndarray,
-        control_support: frozenset[tuple[int, int]],
+        control_index: np.ndarray,
     ) -> SparsityPattern:
         """Wrap a support without checking it: ``tensor_index`` an (nnz,
-        order) int64 array of distinct rows in [1, dim], ``control_support``
-        int pairs in range.  The array is made read-only, not copied."""
+        order) and ``control_index`` a (c, 2) int64 array, each of distinct
+        rows in lexicographic order and in range.  The arrays are made
+        read-only, not copied."""
         tensor_index.setflags(write=False)
+        control_index.setflags(write=False)
         pattern = cls.__new__(cls)
-        pattern._fill(order, dim, inputs, tensor_index, control_support, None)
+        pattern._fill(order, dim, inputs, tensor_index, control_index)
         return pattern
 
     def _fill(self, *values) -> None:
@@ -194,13 +197,16 @@ class SparsityPattern:
 
     @property
     def tensor_support(self) -> frozenset[tuple[int, ...]]:
-        if self._tensor_support is None:
-            support = frozenset(map(tuple, self.tensor_index.tolist()))
-            object.__setattr__(self, "_tensor_support", support)
-        return self._tensor_support
+        return frozenset(map(tuple, self.tensor_index.tolist()))
+
+    @property
+    def control_support(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, self.control_index.tolist()))
 
     def _key(self) -> tuple:
-        return (self.order, self.dim, self.inputs, self.tensor_support, self.control_support)
+        # canonical arrays: equal supports have equal bytes
+        index = (self.tensor_index.tobytes(), self.control_index.tobytes())
+        return (self.order, self.dim, self.inputs, *index)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SparsityPattern):
@@ -211,7 +217,8 @@ class SparsityPattern:
         return hash(self._key())
 
     def __reduce__(self):
-        return SparsityPattern, self._key()
+        fields = (self.order, self.dim, self.inputs, self.tensor_index, self.control_index)
+        return SparsityPattern.from_index, fields
 
     def __repr__(self) -> str:
         return (
@@ -223,15 +230,12 @@ class SparsityPattern:
 def sparsity_pattern(system: Polysystem) -> SparsityPattern:
     """Project a well-formed system onto its structural support."""
     ensure_valid(system)
-    rows, cols = np.nonzero(system.control)
     return SparsityPattern(
         order=system.order,
         dim=system.dim,
         inputs=system.inputs,
-        tensor_support=frozenset(system.tensor.entries),
-        control_support=frozenset(
-            (int(i) + 1, int(j) + 1) for i, j in zip(rows, cols)
-        ),
+        tensor_support=system.tensor.entries,
+        control_support=(np.argwhere(system.control) + 1).tolist(),
     )
 
 
@@ -249,21 +253,17 @@ def sample_coefficients(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw one realization of the pattern per seed, all in one pass.
 
-    Returns the tensor support as an (nnz, order) int64 array in
-    lexicographic row order, the tensor coefficients as a C-contiguous
-    (R, nnz) array and the control matrices as an (R, dim, inputs) array, row r drawn from
-    the r-th seed.  Each coefficient is sign * magnitude with the sign
-    uniform on {-1, +1} and the magnitude uniform on [0.5, 2.0], so values
-    never fall inside (-0.5, 0.5).  Coefficients are drawn in lexicographic
+    Returns the pattern's ``tensor_index``, the tensor coefficients as a
+    C-contiguous (R, nnz) array and the control matrices as an (R, dim,
+    inputs) array, row r drawn from the r-th seed.  Each coefficient is
+    sign * magnitude with the sign uniform on {-1, +1} and the magnitude
+    uniform on [0.5, 2.0], so values never fall inside (-0.5, 0.5).  Coefficients are drawn in lexicographic
     order of the supports, tensor first, then control, and every value is
     bit-identical to drawing them one at a time from
     ``np.random.default_rng(seed)`` with ``integers(0, 2)`` for the sign
     (0 is negative) and ``uniform(0.5, 2.0)`` for the magnitude.
     """
-    index = pattern.tensor_index
-    support = index.tolist()
-    index = index[sorted(range(len(support)), key=support.__getitem__)]
-    control = sorted(pattern.control_support)
+    index, control = pattern.tensor_index, pattern.control_index
     nnz = len(index)
     count = nnz + len(control)
     pairs = (count + 1) // 2
@@ -277,8 +277,8 @@ def sample_coefficients(
     magnitudes = 0.5 + 1.5 * ((raw[:, :, 1:] >> np.uint64(11)) * 2.0**-53)
     values = (magnitudes * (signs * 2.0 - 1.0)).reshape(len(seeds), 2 * pairs)[:, :count]
     controls = np.zeros((len(seeds), pattern.dim, pattern.inputs))
-    if control:
-        rows, cols = np.array(control).T - 1
+    if len(control):
+        rows, cols = control.T - 1
         controls[:, rows, cols] = values[:, nnz:]
     return index, np.ascontiguousarray(values[:, :nnz]), controls
 

@@ -269,8 +269,7 @@ def test_input_command_json_bytes(tmp_path, capsys, argv, text, fields):
 
 
 def test_generated_pattern_json_bytes(tmp_path, capsys):
-    # 36 tensor entries: read in bulk, and grouped on the numpy side of the
-    # 32-entry threshold
+    # 36 tensor entries, read in bulk and grouped with numpy
     assert run(["gen", "--n", "8", "--k", "4", "--m", "2", "--seed", "3", "--tensor-nnz", "36"]) == 0
     path = write(tmp_path, capsys.readouterr().out)
     assert run(["analyze", path, "--json"]) == 0
@@ -465,11 +464,29 @@ def test_missing_file_exit_code(capsys):
     assert error["message"] == "cannot read /nonexistent/input.txt: No such file or directory"
 
 
-def test_bad_tolerance_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "1"])
+def test_bad_tolerance_exit_code(tmp_path, capsys, tol):
     path = write(tmp_path, CUBIC_TEXT)
-    code = run(["rank", path, "--json", "--tol", "-1"])
+    code = run(["rank", path, "--json", "--tol", tol])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("dilation", "hypergraph 3000000000 1\n3 -> 1\n"),
+        ("analyze", "tensor 2 3000000000\n1 2\nmatrix 3000000000 1\n1 1\n"),
+    ],
+)
+def test_huge_vertex_count_is_a_capacity_error(tmp_path, capsys, command, text):
+    # refused before any table with one slot per vertex is built
+    path = write(tmp_path, text)
+    code = run([command, path, "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "capacity"
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -554,6 +571,10 @@ def test_rank_refuses_hypergraph(tmp_path, capsys):
         (["validate", "--trials", "3", "--n", "0"], "dimension n must be >= 1, got 0"),
         (["validate", "--n", "3", "--m", "0"], "input count m must be >= 1, got 0"),
         (["validate", "--trials", "0", "--n", "0", "--k", "3"], "dimension n must be >= 1, got 0"),
+        (["validate", "--k", "0", "--trials", "0"], "tensor order k must be >= 2, got 0"),
+        (["validate", "--k", "-2", "--trials", "0"], "tensor order k must be >= 2, got -2"),
+        (["gen", "--n", "2", "--k", "0", "--m", "1"], "tensor order k must be >= 2, got 0"),
+        (["validate", "--trials", "0", "--tol", "-1"], "tolerance must be in [0, 1), got -1.0"),
     ],
 )
 def test_bad_generator_arguments_exit_code(capsys, argv, message):
@@ -596,3 +617,18 @@ def test_closed_stdout_ends_quietly(tmp_path, capsys):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyctrl.cli", "analyze", "/nonexistent", "--json"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert json.loads(proc.stderr)["error"]["message"].startswith("cannot read /nonexistent")

@@ -183,8 +183,8 @@ def assert_matches_reference(pattern: SparsityPattern) -> None:
     )
 
 
-# (n, k, tensor nnz): below and above the 32 entries at which the grouping
-# moves to numpy; the dense ones at small n hold many permuted tails.
+# (n, k, tensor nnz): sparse and dense supports from 6 to 300 entries; the
+# dense ones at small n hold many permuted tails.
 RANDOM_SHAPES = [
     (3, 2, 6), (6, 2, 31), (6, 2, 32), (20, 2, 200),
     (2, 4, 12), (3, 4, 31), (3, 4, 60), (30, 4, 200),

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cubic_forward_system, linear_chain_system
+from polyctrl.formats import parse_system
 from polyctrl.generate import random_system_pattern
 from polyctrl.system import (
     Polysystem,
@@ -106,7 +107,7 @@ def test_pattern_from_index_equals_checked_pattern():
     support = frozenset({(1, 1, 1, 2), (2, 1, 2, 1), (2, 2, 2, 2)})
     checked = SparsityPattern(4, 2, 1, support, frozenset({(1, 1)}))
     index = np.array(sorted(support), dtype=np.int64)
-    wrapped = SparsityPattern.from_index(4, 2, 1, index, frozenset({(1, 1)}))
+    wrapped = SparsityPattern.from_index(4, 2, 1, index, np.array([[1, 1]], dtype=np.int64))
     assert wrapped.tensor_index is index
     assert not index.flags.writeable
     assert wrapped == checked
@@ -117,6 +118,49 @@ def test_pattern_from_index_equals_checked_pattern():
         "control_support=frozenset({(1, 1)}))"
     )
     assert wrapped != SparsityPattern(4, 2, 2, support, frozenset({(1, 1)}))
+
+
+def test_every_source_gives_one_canonical_support():
+    entries = {(3, 2, 1, 1): -0.7, (1, 1, 1, 2): 1.0, (2, 2, 3, 3): 1.5, (1, 3, 2, 1): 0.9}
+    control = np.array([[0.0, 1.0], [0.0, 0.0], [0.5, 2.0]])
+    system = Polysystem(SparseTensor(4, 3, entries), control)
+    tensor = sorted(entries)
+    pairs = [(1, 2), (3, 1), (3, 2)]
+    rng = np.random.default_rng(4)
+    shuffled_tensor = [tensor[i] for i in rng.permutation(len(tensor))]
+    shuffled_pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    body = "".join(" ".join(map(str, idx)) + "\n" for idx in shuffled_tensor)
+    body += "matrix 3 2\n" + "".join(f"{i} {j}\n" for i, j in shuffled_pairs)
+    patterns = [
+        SparsityPattern(4, 3, 2, frozenset(tensor), frozenset(pairs)),
+        SparsityPattern(
+            4,
+            3,
+            2,
+            [list(map(np.int64, shuffled_tensor[0])), *shuffled_tensor, shuffled_tensor[0]],
+            [(float(i), j) for i, j in shuffled_pairs] + [(True, np.int32(2))],
+        ),
+        parse_system("tensor 4 3\n" + body),
+        parse_system("tensor 4 3\n# shuffled rows\n" + body),
+        sparsity_pattern(system),
+    ]
+    expected_tensor = np.array(tensor, dtype=np.int64)
+    expected_control = np.array(pairs, dtype=np.int64)
+    for pattern in patterns:
+        for index, expected in (
+            (pattern.tensor_index, expected_tensor),
+            (pattern.control_index, expected_control),
+        ):
+            assert index.dtype == np.int64
+            assert not index.flags.writeable
+            assert np.array_equal(index, expected)
+        assert pattern == patterns[0]
+        assert hash(pattern) == hash(patterns[0])
+        for clone in (pickle.loads(pickle.dumps(pattern)), copy.deepcopy(pattern)):
+            assert clone == pattern
+            assert hash(clone) == hash(pattern)
+            assert not clone.tensor_index.flags.writeable
+            assert not clone.control_index.flags.writeable
 
 
 def test_pattern_is_immutable_and_survives_pickle_and_copy():
