@@ -12,7 +12,6 @@ from .hypergraph import DirectedHypergraph, Hyperedge, build_hypergraph
 from .numeric import (
     RankReport,
     explicit_controllability_matrix,
-    reduced_controllability_matrix,
     strong_controllability,
     svd_rank,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "lie_algebra_rank_at_origin",
     "lie_bracket",
     "lie_rank_is_final",
-    "reduced_controllability_matrix",
     "sample_realization",
     "sparsity_pattern",
     "strong_controllability",

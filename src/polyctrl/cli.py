@@ -67,7 +67,7 @@ def _input_section(obj) -> dict:
         }
     if isinstance(obj, Polysystem):
         kind = "system"
-        tensor_nnz = len(obj.tensor.entries)
+        tensor_nnz = len(obj.tensor.index)
         control_nnz = int(np.count_nonzero(obj.control))
     else:
         kind = "pattern"

@@ -336,17 +336,14 @@ def serialize(obj: Polysystem | SparsityPattern) -> str:
     """System or pattern back to text; parsing the result reproduces it."""
     if isinstance(obj, Polysystem):
         k, n, m = obj.order, obj.dim, obj.inputs
+        # plain float repr round-trips exactly; numpy scalars do not
+        tensor = zip(obj.tensor.index.tolist(), obj.tensor.values.tolist())
         lines = [f"tensor {k} {n}"]
-        for idx in sorted(obj.tensor.entries):
-            indices = " ".join(str(i) for i in idx)
-            lines.append(f"{indices} {float(obj.tensor.entries[idx])!r}")
+        lines.extend(f"{' '.join(map(str, idx))} {value!r}" for idx, value in tensor)
         lines.append(f"matrix {n} {m}")
-        for i in range(n):
-            for j in range(m):
-                # plain float repr round-trips exactly; numpy scalars do not
-                value = float(obj.control[i, j])
-                if value != 0.0:
-                    lines.append(f"{i + 1} {j + 1} {value!r}")
+        rows, cols = np.nonzero(obj.control)
+        control = zip(rows.tolist(), cols.tolist(), obj.control[rows, cols].tolist())
+        lines.extend(f"{i + 1} {j + 1} {value!r}" for i, j, value in control)
         return "\n".join(lines) + "\n"
     if isinstance(obj, SparsityPattern):
         lines = [f"tensor {obj.order} {obj.dim}"]

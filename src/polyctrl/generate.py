@@ -11,6 +11,7 @@ import numpy as np
 
 from .hypergraph import DirectedHypergraph, Hyperedge
 from .system import SparsityPattern
+from .tensor import DEFAULT_CAP, CapacityError
 
 __all__ = [
     "check_shape",
@@ -57,6 +58,12 @@ def pattern_with_rng(
         raise ValueError(
             f"support sizes must be >= 0, got tensor {tensor_nnz} and control {control_nnz}"
         )
+    # refused before the first draw, as the graph build would refuse them
+    if n + m > DEFAULT_CAP:
+        raise CapacityError(f"pattern has {n + m} vertices, cap is {DEFAULT_CAP}")
+    cells = tensor_nnz * k + control_nnz * 2
+    if cells > DEFAULT_CAP:
+        raise CapacityError(f"pattern support needs {cells} cells, cap is {DEFAULT_CAP}")
     if tensor_nnz > n**k:
         raise ValueError(f"tensor support {tensor_nnz} exceeds index space {n ** k}")
     if control_nnz > n * m:

@@ -8,7 +8,8 @@ evaluates the field instead: a randomized range finder (Halko, Martinsson
 and Tropp, SIAM Review 2011) on the reduced controllability matrix (Chen,
 Surana, Bloch and Rajapakse, IEEE TNSE 2021).  Iteration j draws seeded
 Gaussian points V c in the span of the basis V of S_j, at most 8 at a time.
-It evaluates f at them from the stored entries: gather the tail rows,
+It evaluates f at them from the support's canonical index and the
+coefficients with the kernel ``contract`` uses: gather the tail rows,
 multiply, scatter to the heads, at a cost of nnz * (k-1) per point.  Each
 batch W is projected twice against the whole current basis, and the left
 singular vectors of the n x b residual are kept above a global cutoff:
@@ -19,17 +20,20 @@ An iteration ends when a batch keeps fewer directions than it has points
 (b generic points of a span of dimension d add min(b, d) directions), and
 the loop ends when an iteration adds nothing.
 
-The iteration runs on a stack of realizations of one support (R systems
-that share n and the entry indices, with their own coefficients and B), so
-a pattern's realizations cost one set of numpy calls per batch, not R.  The
-basis is an (R, n, n) array, and the matmuls and the SVD are stacked.
-Members in lockstep share one generator: at equal ranks they draw the same
-normals.  When the members' control ranks differ, or one batch keeps
-different numbers of directions, the stack splits by that number.  Each
-part carries on with its own rank, iteration start, per-member scales,
-iteration count and a copy of the generator, so every member's result is
-bit-identical to a run on that member alone; a stack of one never splits.
-Norms stay per member (``c @ c``, ``np.vdot``) for the same reason.
+The iteration has one entry, ``_reduce``, and runs on a stack of
+realizations of one support (R systems that share n and the entry indices,
+with their own coefficients and B), so a pattern's realizations cost one
+set of numpy calls per batch, not R; ``strong_controllability`` is the
+stack of one.  The entries are in the index's lexicographic order, so the
+rank does not depend on the order of a file's lines.  The basis is an
+(R, n, n) array, and the matmuls and the SVD are stacked.  Members in
+lockstep share one generator: at equal ranks they draw the same normals.
+When the members' control ranks differ, or one batch keeps different
+numbers of directions, the stack splits by that number.  Each part carries
+on with its own rank, iteration start, per-member scales, iteration count
+and a copy of the generator, so every member's result is bit-identical to
+a run on that member alone; a stack of one never splits.  Norms stay per
+member (``c @ c``, ``np.vdot``) for the same reason.
 
 The explicit controllability matrix runs the same recursion uncompressed
 on the tail-symmetrized unfolding: each step appends A applied to the
@@ -48,14 +52,13 @@ from typing import Iterable
 import numpy as np
 
 from .system import Polysystem, SparsityPattern, ensure_order, ensure_valid, sample_coefficients
-from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, kron_power, symmetrize, unfold
+from .tensor import DEFAULT_CAP, CapacityError, _field, kron_power, symmetrize, unfold
 
 __all__ = [
     "RankReport",
     "check_tolerance",
     "explicit_controllability_matrix",
     "realization_ranks",
-    "reduced_controllability_matrix",
     "strong_controllability",
     "svd_rank",
 ]
@@ -88,29 +91,6 @@ def svd_rank(mat: np.ndarray, tol: float = 0.0) -> int:
     return int(np.count_nonzero(sigma > _relative_tolerance(tol, mat.shape) * sigma[0]))
 
 
-def _entry_arrays(tensor: SparseTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0-based tail indices (nnz, k-1), head indices (nnz,) and coefficients
-    (nnz, 1) of the stored entries, the coefficients scaled to unit Euclidean
-    norm."""
-    entries = tensor.entries
-    nnz, k = len(entries), tensor.order
-    idx = np.array(list(entries), dtype=np.intp).reshape(nnz, k) - 1
-    coeffs = np.fromiter(entries.values(), dtype=float, count=nnz)
-    if nnz:
-        coeffs /= np.sqrt(coeffs @ coeffs)
-    return idx[:, :-1], idx[:, -1], coeffs[:, None]
-
-
-def _field(tails, heads, coeffs, points: np.ndarray) -> np.ndarray:
-    """f(x) = A x^(k-1) at each column x of ``points``, from the entry arrays:
-    gather the tail rows, multiply, and scatter to the heads.  ``points``
-    may be a stack (R, n, b) of point sets, one per member, with ``coeffs``
-    of shape (R, nnz, 1)."""
-    out = np.zeros(points.shape)
-    np.add.at(out, (..., heads, slice(None)), points[..., tails, :].prod(axis=-2) * coeffs)
-    return out
-
-
 class _Lockstep:
     """Members of a stack that have kept the same number of directions in
     every batch so far, with the loop state they share: the rank, the rank
@@ -125,7 +105,7 @@ class _Lockstep:
         self.iterations = 0
         self.done = False
 
-    def run(self, n: int, tails, heads, coeffs, tol: float) -> list[_Lockstep]:
+    def run(self, n: int, index, coeffs, tol: float) -> list[_Lockstep]:
         """Iterate until the loop ends and return [], or until the members
         keep different numbers of directions in one batch and return one
         part per number."""
@@ -141,7 +121,7 @@ class _Lockstep:
             width = min(_BATCH, n - rank)
             self.tolerance = _relative_tolerance(tol, (n, rank + width))
             normals = self.rng.standard_normal((start, width))
-            block = _field(tails, heads, coeffs, basis[:, :start].transpose(0, 2, 1) @ normals)
+            block = _field(index, coeffs, basis[:, :start].transpose(0, 2, 1) @ normals)
             # per member, so every value matches a run on that member alone
             self.scale = [s + np.vdot(b, b) for s, b in zip(self.scale, block)]
             for _ in range(2):
@@ -177,18 +157,29 @@ class _Lockstep:
 
 
 def _reduce(
-    n: int, tails, heads, coeffs: np.ndarray, controls: np.ndarray, tol: float, cap: int
-) -> list[tuple[np.ndarray, int, float]]:
+    n: int, index: np.ndarray, coeffs: np.ndarray, controls: np.ndarray, tol: float, cap: int
+) -> list[tuple[int, int, float]]:
     """The rank iteration on a stack of realizations of one support.
 
-    ``tails`` and ``heads`` are the 0-based entry indices, ``coeffs`` the
-    (R, nnz, 1) coefficients, each member's scaled to unit Euclidean norm,
-    and ``controls`` the (R, n, m) control matrices.
-    Returns each member's basis rows (rank, n), iteration count and cutoff.
+    ``index`` is the support's (nnz, k) array of 1-based multi-indices,
+    ``coeffs`` the (R, nnz) coefficients and ``controls`` the (R, n, m)
+    control matrices.  Each member's coefficients are scaled to unit
+    Euclidean norm and B is orthonormalized up front, so the verdict does
+    not depend on the overall scale of either.  ``tol`` is the relative
+    singular-value cutoff; 0 selects the automatic max(n, r + b) *
+    machine-epsilon cutoff for a batch of b points beside a basis of r
+    columns.  ``cap`` bounds the cells of each member's n x n basis and one
+    batch.  Returns each member's rank, iteration count and cutoff.
     """
-    cells = len(controls) * (n * n + (n + tails.size) * min(_BATCH, n))
+    cells = len(controls) * (n * n + (n + index[:, :-1].size) * min(_BATCH, n))
     if cells > cap:
         raise CapacityError(f"rank reduction needs {cells} cells, cap is {cap}")
+    # one contiguous row per member, so every norm rounds as a stack of one's
+    coeffs = np.array(coeffs, dtype=float)
+    if coeffs.shape[1]:
+        for c in coeffs:
+            c /= np.sqrt(c @ c)
+    index = index - 1
     u, sigma, _ = np.linalg.svd(controls, full_matrices=False)
     used_tol = _relative_tolerance(tol, controls.shape[1:])
     ranks = np.array([np.count_nonzero(row > used_tol * row[0]) for row in sigma])
@@ -204,39 +195,12 @@ def _reduce(
     results: list = [None] * len(controls)
     while work:
         group = work.pop()
-        parts = group.run(n, tails, heads, coeffs, tol)
+        parts = group.run(n, index, coeffs, tol)
         work.extend(parts)
         if not parts:
-            for member, basis in zip(group.members, group.basis):
-                results[member] = (basis[: group.rank], group.iterations, group.tolerance)
+            for member in group.members:
+                results[member] = (group.rank, group.iterations, group.tolerance)
     return results
-
-
-def _reduce_system(system: Polysystem, tol: float, cap: int) -> tuple[np.ndarray, int, float]:
-    """The rank iteration on one system: a stack of one."""
-    ensure_valid(system)
-    tails, heads, coeffs = _entry_arrays(system.tensor)
-    [(rows, iterations, used_tol)] = _reduce(
-        system.dim, tails, heads, coeffs[None], system.control[None], tol, cap
-    )
-    return rows.T, iterations, used_tol
-
-
-def reduced_controllability_matrix(
-    system: Polysystem, tol: float = 0.0, cap: int = DEFAULT_CAP
-) -> np.ndarray:
-    """Orthonormal basis of the reachable directions, at most n columns.
-
-    ``tol`` is the relative singular-value cutoff; 0 selects the automatic
-    max(n, r + b) * machine-epsilon cutoff for a batch of b points beside a
-    basis of r columns.  The loop runs at most n times and exits early once
-    the rank reaches n or stops growing.  The coefficients are scaled to unit Euclidean norm and B is
-    orthonormalized up front, so the verdict does not depend on the overall
-    scale of either.  ``cap`` bounds the cells of the n x n basis and one
-    batch.
-    """
-    basis, _, _ = _reduce_system(system, tol, cap)
-    return basis
 
 
 @dataclass(frozen=True)
@@ -248,22 +212,20 @@ class RankReport:
     tolerance: float
 
 
-def _rank_report(n: int, rank: int, iterations: int, used_tol: float) -> RankReport:
-    return RankReport(
-        rank=rank,
-        n=n,
-        strongly_controllable=rank == n,
-        iterations=iterations,
-        tolerance=used_tol,
-    )
+def _reports(n: int, results: list[tuple[int, int, float]]) -> list[RankReport]:
+    return [RankReport(rank, n, rank == n, *rest) for rank, *rest in results]
 
 
 def strong_controllability(
     system: Polysystem, tol: float = 0.0, cap: int = DEFAULT_CAP
 ) -> RankReport:
-    """Rank verdict from the reduced controllability matrix."""
-    basis, iterations, used_tol = _reduce_system(system, tol, cap)
-    return _rank_report(system.dim, basis.shape[1], iterations, used_tol)
+    """Rank verdict from the reduced controllability matrix: the rank
+    iteration of ``_reduce`` on a stack of one."""
+    ensure_valid(system)
+    tensor, n = system.tensor, system.dim
+    results = _reduce(n, tensor.index, tensor.values[None], system.control[None], tol, cap)
+    [report] = _reports(n, results)
+    return report
 
 
 def realization_ranks(
@@ -275,16 +237,7 @@ def realization_ranks(
     bit for bit; ``cap`` counts the cells of the whole stack."""
     ensure_order(pattern.order)
     index, coeffs, controls = sample_coefficients(pattern, seeds)
-    # the rows are contiguous, as a lone system's coefficients are, so each
-    # norm rounds as it does there
-    if coeffs.shape[1]:
-        for c in coeffs:
-            c /= np.sqrt(c @ c)
-    index = index.astype(np.intp) - 1
-    results = _reduce(
-        pattern.dim, index[:, :-1], index[:, -1], coeffs[:, :, None], controls, tol, cap
-    )
-    return [_rank_report(pattern.dim, len(rows), it, used) for rows, it, used in results]
+    return _reports(pattern.dim, _reduce(pattern.dim, index, coeffs, controls, tol, cap))
 
 
 def explicit_controllability_matrix(

@@ -119,7 +119,7 @@ def field_from_polysystem(
     ensure_valid(system)
     n = system.dim
     coords: list[Polynomial] = [{} for _ in range(n)]
-    for idx, coeff in system.tensor.entries.items():
+    for idx, coeff in zip(system.tensor.index.tolist(), system.tensor.values.tolist()):
         key = _canonical(Counter(idx[:-1]).items())
         _poly_add(coords[idx[-1] - 1], key, coeff)
     drift = PolyVectorField(n, tuple(coords))
@@ -235,7 +235,7 @@ class _FieldSpan:
 
 
 def _all_integral(system: Polysystem) -> bool:
-    return all(c.is_integer() for c in system.tensor.entries.values()) and all(
+    return all(c.is_integer() for c in system.tensor.values.tolist()) and all(
         float(v).is_integer() for v in np.ravel(system.control)
     )
 

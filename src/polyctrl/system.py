@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor import SparseTensor
+from .tensor import SparseTensor, _FrozenArrays
 
 __all__ = [
     "Polysystem",
@@ -102,7 +102,7 @@ def ensure_order(order: int) -> None:
 
 
 def _support_index(support, width: int, what: str) -> np.ndarray:
-    """A support as a read-only int64 array of shape (len(support), width):
+    """A support as an int64 array of shape (len(support), width):
     its distinct rows in lexicographic order.
 
     Every tuple must have ``width`` entries; entries that are not ints are
@@ -121,9 +121,7 @@ def _support_index(support, width: int, what: str) -> np.ndarray:
         )
     except OverflowError:
         raise ValueError(f"{what} entries outside the int64 range") from None
-    index = index.reshape(len(support), width)
-    index.setflags(write=False)
-    return index
+    return index.reshape(len(support), width)
 
 
 def _first_outside(index: np.ndarray, highs) -> tuple | None:
@@ -132,15 +130,16 @@ def _first_outside(index: np.ndarray, highs) -> tuple | None:
     return tuple(index[bad][0].tolist()) if bad.any() else None
 
 
-class SparsityPattern:
+class SparsityPattern(_FrozenArrays):
     """Structural support of a system: which coefficients may be nonzero.
 
     The support is held as two read-only int64 arrays of distinct rows in
     lexicographic order: ``tensor_index`` (nnz, order) holds the tensor's
-    1-based multi-indices and ``control_index`` (c, 2) the (row, column)
-    pairs of the control matrix.  ``tensor_support`` and ``control_support``
-    read them back as frozensets of tuples.  The constructor checks its
-    arguments; ``from_index`` wraps arrays that are already canonical.
+    1-based multi-indices, the same form as a ``SparseTensor``'s ``index``,
+    and ``control_index`` (c, 2) the (row, column) pairs of the control
+    matrix.  ``tensor_support`` and ``control_support`` read them back as
+    frozensets of tuples.  The constructor checks its arguments;
+    ``from_index`` wraps arrays that are already canonical.
     """
 
     __slots__ = ("order", "dim", "inputs", "tensor_index", "control_index")
@@ -182,18 +181,7 @@ class SparsityPattern:
         order) and ``control_index`` a (c, 2) int64 array, each of distinct
         rows in lexicographic order and in range.  The arrays are made
         read-only, not copied."""
-        tensor_index.setflags(write=False)
-        control_index.setflags(write=False)
-        pattern = cls.__new__(cls)
-        pattern._fill(order, dim, inputs, tensor_index, control_index)
-        return pattern
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SparsityPattern is immutable; cannot set {name!r}")
+        return cls._wrap(order, dim, inputs, tensor_index, control_index)
 
     @property
     def tensor_support(self) -> frozenset[tuple[int, ...]]:
@@ -202,23 +190,6 @@ class SparsityPattern:
     @property
     def control_support(self) -> frozenset[tuple[int, int]]:
         return frozenset(map(tuple, self.control_index.tolist()))
-
-    def _key(self) -> tuple:
-        # canonical arrays: equal supports have equal bytes
-        index = (self.tensor_index.tobytes(), self.control_index.tobytes())
-        return (self.order, self.dim, self.inputs, *index)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SparsityPattern):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        fields = (self.order, self.dim, self.inputs, self.tensor_index, self.control_index)
-        return SparsityPattern.from_index, fields
 
     def __repr__(self) -> str:
         return (
@@ -230,12 +201,12 @@ class SparsityPattern:
 def sparsity_pattern(system: Polysystem) -> SparsityPattern:
     """Project a well-formed system onto its structural support."""
     ensure_valid(system)
-    return SparsityPattern(
-        order=system.order,
-        dim=system.dim,
-        inputs=system.inputs,
-        tensor_support=system.tensor.entries,
-        control_support=(np.argwhere(system.control) + 1).tolist(),
+    return SparsityPattern.from_index(
+        system.order,
+        system.dim,
+        system.inputs,
+        system.tensor.index,
+        np.argwhere(system.control) + 1,
     )
 
 
@@ -257,11 +228,12 @@ def sample_coefficients(
     C-contiguous (R, nnz) array and the control matrices as an (R, dim,
     inputs) array, row r drawn from the r-th seed.  Each coefficient is
     sign * magnitude with the sign uniform on {-1, +1} and the magnitude
-    uniform on [0.5, 2.0], so values never fall inside (-0.5, 0.5).  Coefficients are drawn in lexicographic
-    order of the supports, tensor first, then control, and every value is
-    bit-identical to drawing them one at a time from
-    ``np.random.default_rng(seed)`` with ``integers(0, 2)`` for the sign
-    (0 is negative) and ``uniform(0.5, 2.0)`` for the magnitude.
+    uniform on [0.5, 2.0], so values never fall inside (-0.5, 0.5).
+    Coefficients are drawn in lexicographic order of the supports, tensor
+    first, then control, and every value is bit-identical to drawing them
+    one at a time from ``np.random.default_rng(seed)`` with
+    ``integers(0, 2)`` for the sign (0 is negative) and
+    ``uniform(0.5, 2.0)`` for the magnitude.
     """
     index, control = pattern.tensor_index, pattern.control_index
     nnz = len(index)
@@ -287,5 +259,5 @@ def sample_realization(pattern: SparsityPattern, seed: int) -> Polysystem:
     """Draw a concrete system on the pattern's support: the one-seed case
     of ``sample_coefficients``, so the draw is bit-identical for a seed."""
     index, coeffs, controls = sample_coefficients(pattern, [seed])
-    entries = dict(zip(map(tuple, index.tolist()), coeffs[0].tolist()))
-    return Polysystem(SparseTensor(pattern.order, pattern.dim, entries), controls[0])
+    tensor = SparseTensor.from_arrays(pattern.order, pattern.dim, index, coeffs[0])
+    return Polysystem(tensor, controls[0])

@@ -1,11 +1,14 @@
-"""Sparse coefficient tensors and the dense kernels built from them.
+"""Sparse coefficient tensors and the kernels built from them.
 
 A degree-uniform polynomial vector field is stored as a sparse k-mode,
 n-dimensional tensor: entry (i1, ..., ik) contributes
 ``coeff * x_{i1} * ... * x_{i_{k-1}}`` to coordinate ik of the field value.
-Mode k is the head mode, modes 1..k-1 are tail modes.  The mode-k unfolding
-flattens the tail modes with mode 1 slowest-varying, which is exactly the
-ordering of an iterated Kronecker product, so
+Mode k is the head mode, modes 1..k-1 are tail modes.  A ``SparseTensor``
+holds the entries as two arrays, in the canonical form of a pattern's
+support, and ``contract`` and the rank iteration evaluate the field from
+them with one kernel.  The mode-k unfolding flattens the tail modes with
+mode 1 slowest-varying, which is exactly the ordering of an iterated
+Kronecker product, so
 
     unfold(T) @ kron_power(x, k - 1) == contract(T, x)
 
@@ -17,7 +20,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping
 
@@ -42,8 +44,51 @@ class CapacityError(Exception):
     """An operation would materialize more data than its configured cap."""
 
 
-def _normalize_entries(order, dim, entries):
-    items = entries.items() if isinstance(entries, Mapping) else list(entries)
+class _FrozenArrays:
+    """Immutable holder of the fields named by ``__slots__``, some of them
+    read-only arrays in a canonical form.  Equality and hashing compare the
+    arrays' bytes, which for canonical arrays is equality of content, and
+    pickling rebuilds through ``_wrap``, unchecked."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _wrap(cls, *fields):
+        obj = cls.__new__(cls)
+        obj._fill(*fields)
+        return obj
+
+    def _fill(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(f.tobytes() if isinstance(f, np.ndarray) else f for f in self._fields())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self._wrap, self._fields()
+
+
+def _canonical_entries(order, dim, entries) -> tuple[np.ndarray, np.ndarray]:
+    """Check each entry in the order given; return the index and values
+    arrays, rows in lexicographic order."""
+    items = entries.items() if isinstance(entries, Mapping) else entries
     out: dict[tuple[int, ...], float] = {}
     for index, value in items:
         idx = tuple(operator.index(i) for i in index)
@@ -60,43 +105,68 @@ def _normalize_entries(order, dim, entries):
         if idx in out:
             raise ValueError(f"duplicate multi-index {idx}")
         out[idx] = coeff
-    return out
+    rows = sorted(out.items())
+    try:
+        index = np.array([idx for idx, _ in rows], dtype=np.int64).reshape(len(rows), order)
+    except OverflowError:
+        raise ValueError("multi-index entries outside the int64 range") from None
+    return index, np.array([coeff for _, coeff in rows])
 
 
-@dataclass(frozen=True)
-class SparseTensor:
+class SparseTensor(_FrozenArrays):
     """k-mode, n-dimensional tensor holding only structurally nonzero entries.
 
-    ``entries`` maps 1-based multi-indices to coefficients and may be given
-    as a mapping or as an iterable of (multi-index, value) pairs.  Stored
-    support equals structural support: exact-zero coefficients and duplicate
-    multi-indices are construction errors, not silent drops.
+    ``index`` holds the distinct 1-based multi-indices as an (nnz, order)
+    int64 array in lexicographic order and ``values`` their coefficients as
+    an (nnz,) float64 array; both are read-only.  The constructor takes the
+    entries as a mapping or as an iterable of (multi-index, value) pairs, in
+    any order.  Stored support equals structural support: exact-zero
+    coefficients and duplicate multi-indices are construction errors, not
+    silent drops.  ``entries`` and ``support`` read the arrays back;
+    ``from_arrays`` wraps arrays that are already canonical.
     """
 
-    order: int
-    dim: int
-    entries: Mapping[tuple[int, ...], float]
+    __slots__ = ("order", "dim", "index", "values")
 
-    def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError(f"tensor order must be >= 2, got {self.order}")
-        if self.dim < 1:
-            raise ValueError(f"tensor dimension must be >= 1, got {self.dim}")
-        object.__setattr__(
-            self, "entries", _normalize_entries(self.order, self.dim, self.entries)
-        )
+    def __init__(self, order: int, dim: int, entries) -> None:
+        if order < 2:
+            raise ValueError(f"tensor order must be >= 2, got {order}")
+        if dim < 1:
+            raise ValueError(f"tensor dimension must be >= 1, got {dim}")
+        self._fill(order, dim, *_canonical_entries(order, dim, entries))
+
+    @classmethod
+    def from_arrays(
+        cls, order: int, dim: int, index: np.ndarray, values: np.ndarray
+    ) -> SparseTensor:
+        """Wrap arrays without checking them: ``index`` an (nnz, order) int64
+        array of distinct in-range rows in lexicographic order, ``values``
+        the (nnz,) float64 nonzero finite coefficients.  The arrays are made
+        read-only, not copied."""
+        return cls._wrap(order, dim, index, values)
+
+    @property
+    def entries(self) -> dict[tuple[int, ...], float]:
+        return dict(zip(map(tuple, self.index.tolist()), self.values.tolist()))
 
     @property
     def support(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.entries)
+        return frozenset(map(tuple, self.index.tolist()))
+
+    def __repr__(self) -> str:
+        return f"SparseTensor(order={self.order!r}, dim={self.dim!r}, entries={self.entries!r})"
 
 
-def _column_index(idx: tuple[int, ...], dim: int) -> int:
-    # Horner form of sum_m (i_m - 1) * dim**(k-1-m) over the tail modes.
-    col = 0
-    for i in idx[:-1]:
-        col = col * dim + (i - 1)
-    return col
+def _field(index: np.ndarray, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """f(x) = A x^(k-1) at each column x of ``points`` (n, b): gather the
+    tail rows, multiply, and scatter to the heads.  ``index`` holds the
+    0-based multi-indices (nnz, k) and ``coeffs`` the (nnz,) coefficients;
+    ``points`` may be a stack (R, n, b) with ``coeffs`` (R, nnz), one per
+    member."""
+    out = np.zeros(points.shape)
+    terms = points[..., index[:, :-1], :].prod(axis=-2) * coeffs[..., None]
+    np.add.at(out, (..., index[:, -1], slice(None)), terms)
+    return out
 
 
 def symmetrize(tensor: SparseTensor) -> SparseTensor:
@@ -129,8 +199,9 @@ def unfold(tensor: SparseTensor, cap: int = DEFAULT_CAP) -> np.ndarray:
             "use the sparse operations instead"
         )
     out = np.zeros((n, cols))
-    for idx, coeff in tensor.entries.items():
-        out[idx[-1] - 1, _column_index(idx, n)] = coeff
+    index = tensor.index - 1
+    # column of a row: sum over tail modes m of (i_m - 1) * n**(k-2-m)
+    out[index[:, -1], index[:, :-1] @ n ** np.arange(k - 2, -1, -1)] = tensor.values
     return out
 
 
@@ -142,13 +213,7 @@ def contract(tensor: SparseTensor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (tensor.dim,):
         raise ValueError(f"expected vector of length {tensor.dim}, got shape {x.shape}")
-    out = np.zeros(tensor.dim)
-    for idx, coeff in tensor.entries.items():
-        term = coeff
-        for i in idx[:-1]:
-            term *= x[i - 1]
-        out[idx[-1] - 1] += term
-    return out
+    return _field(tensor.index - 1, tensor.values, x[:, None])[:, 0]
 
 
 def kron_power(mat: np.ndarray, power: int, cap: int = DEFAULT_CAP) -> np.ndarray:

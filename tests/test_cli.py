@@ -420,6 +420,39 @@ def test_rank_json_sha256(tmp_path, capsys, name):
 
 # --- determinism ---
 
+# An 8-dimensional k=2 system whose rank at the automatic cutoff once
+# depended on the order of its tensor lines.
+LINE_ORDER_TENSOR = [
+    "1 6 -1.692605659460007",
+    "4 8 0.5105337942282643",
+    "5 5 -0.7074265496231302",
+    "8 7 1.4856295630426448",
+]
+LINE_ORDER_MATRIX = """matrix 8 2
+1 2 -0.6508718215260448
+3 1 -1.7790107625609806
+4 1 -0.9681522668042554
+4 2 -0.7551136535310243
+5 1 -1.9454485095878602
+5 2 -0.618121452305533
+6 2 -0.6993992247912473
+7 1 -1.3012730893761748
+8 2 -1.685681080215515
+"""
+
+
+def test_rank_report_ignores_tensor_line_order(tmp_path, capsys):
+    def report(order):
+        lines = [LINE_ORDER_TENSOR[i] for i in order]
+        path = write(tmp_path, "\n".join(["tensor 2 8", *lines, LINE_ORDER_MATRIX]))
+        assert run(["rank", path, "--json"]) == 0
+        return capsys.readouterr().out
+
+    expected = report([0, 1, 2, 3])
+    for order in ([3, 0, 2, 1], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
+        assert report(order) == expected, order
+
+
 def test_reports_are_byte_identical(tmp_path, capsys):
     path = write(tmp_path, CUBIC_TEXT)
     outputs = []
@@ -487,6 +520,31 @@ def test_huge_vertex_count_is_a_capacity_error(tmp_path, capsys, command, text):
     assert code == 3
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["kind"] == "capacity"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--n", "3000000000", "--k", "2", "--m", "1"], "pattern has 3000000001 vertices"),
+        (
+            ["validate", "--n", "3000000000", "--k", "2", "--m", "1", "--trials", "1"],
+            "pattern has 3000000001 vertices",
+        ),
+        (
+            ["gen", "--n", "10000", "--k", "2", "--m", "1", "--tensor-nnz", "40000000"],
+            "pattern support needs 80000002 cells",
+        ),
+    ],
+)
+def test_huge_generated_pattern_is_a_capacity_error(capsys, argv, message):
+    # refused before the first entry is drawn
+    code = run(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "capacity"
+    assert error["message"].startswith(message)
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -19,19 +19,16 @@ from conftest import (
 )
 from polyctrl.generate import pattern_of_shape, random_system_pattern
 from polyctrl.numeric import (
-    _entry_arrays,
-    _field,
     _reduce,
     explicit_controllability_matrix,
     realization_ranks,
-    reduced_controllability_matrix,
     strong_controllability,
     svd_rank,
 )
 from polyctrl.oracle import kalman_rank
 from polyctrl.structural import verdict_against_rank
 from polyctrl.system import Polysystem, SparsityPattern, sample_realization, sparsity_pattern
-from polyctrl.tensor import CapacityError, SparseTensor, symmetrize, unfold
+from polyctrl.tensor import CapacityError, SparseTensor, _field, symmetrize, unfold
 
 
 def scaled(system: Polysystem, factor: float) -> Polysystem:
@@ -108,16 +105,6 @@ def test_zero_control_matrix_has_rank_zero():
     assert report.iterations == 0
 
 
-def test_reduced_matrix_is_orthonormal():
-    for seed in range(8):
-        system = sample_realization(random_system_pattern(seed), 100 + seed)
-        basis = reduced_controllability_matrix(system, tol=1e-10)
-        assert basis.shape[0] == system.dim
-        assert basis.shape[1] <= system.dim
-        gram = basis.T @ basis
-        assert np.allclose(gram, np.eye(basis.shape[1]), atol=1e-12)
-
-
 @given(st.integers(0, 60))
 @settings(max_examples=60, deadline=None)
 def test_rank_report_invariants(seed):
@@ -169,9 +156,8 @@ def kron_loop_block(tensor: SparseTensor, basis: np.ndarray) -> np.ndarray:
 
 
 def entry_block(tensor: SparseTensor, points: np.ndarray) -> np.ndarray:
-    """The field at each column of ``points``, in the tensor's own scale."""
-    tails, heads, coeffs = _entry_arrays(tensor)
-    return _field(tails, heads, coeffs, points) * np.linalg.norm(list(tensor.entries.values()))
+    """The field at each column of ``points``."""
+    return _field(tensor.index - 1, tensor.values, points)
 
 
 def random_tensor(rng, k: int, n: int, nnz: int) -> SparseTensor:
@@ -202,7 +188,7 @@ def test_block_matches_kron_loop_on_random_tensors(seed, k, n, s):
 
 
 def test_block_of_empty_tensor_is_zero():
-    block = _field(*_entry_arrays(SparseTensor(4, 3, {})), np.ones((3, 2)))
+    block = entry_block(SparseTensor(4, 3, {}), np.ones((3, 2)))
     assert block.shape == (3, 2)
     assert not block.any()
 
@@ -370,11 +356,10 @@ def test_stack_members_with_different_control_ranks():
     """Members whose B differ in rank start in different groups."""
     tensor = SparseTensor(4, 4, {(1, 1, 1, 3): 1.0, (2, 2, 2, 4): -0.5, (1, 2, 2, 4): 0.8})
     controls = np.array([np.eye(4)[:, :2], np.outer([1.0, 2.0, 0.0, 0.0], [1.0, 1.0])])
-    tails, heads, coeffs = _entry_arrays(tensor)
-    stacked = _reduce(4, tails, heads, np.stack([coeffs] * 2), controls, 0.0, 1 << 20)
+    stacked = _reduce(4, tensor.index, np.stack([tensor.values] * 2), controls, 0.0, 1 << 20)
     singles = [strong_controllability(Polysystem(tensor, control)) for control in controls]
-    assert [(len(rows), it, used) for rows, it, used in stacked] == rank_triples(singles)
-    assert [len(rows) for rows, _, _ in stacked] == [4, 2]
+    assert stacked == rank_triples(singles)
+    assert [rank for rank, _, _ in stacked] == [4, 2]
 
 
 def test_stack_cap_counts_every_member():

@@ -1,5 +1,7 @@
 """Sparse tensor kernels against a dense reshape oracle and hand values."""
 
+import copy
+import pickle
 from itertools import permutations, product
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyctrl.system import Polysystem
 from polyctrl.tensor import (
     DEFAULT_CAP,
     CapacityError,
@@ -198,6 +201,57 @@ def test_entries_accept_mapping_and_pairs():
     from_pairs = SparseTensor(2, 2, [((1, 2), 1.5)])
     assert from_map.entries == from_pairs.entries == {(1, 2): 1.5}
     assert from_map.support == frozenset({(1, 2)})
+
+
+ENTRIES = {(2, 1, 1, 1): -0.5, (1, 2, 2, 2): 2.0, (1, 1, 1, 2): 1.0, (2, 2, 1, 2): 0.75}
+
+
+def test_every_order_of_entries_gives_one_canonical_form():
+    rows = sorted(ENTRIES)
+    pairs = list(ENTRIES.items())
+    sources = [ENTRIES, pairs, pairs[::-1], iter(pairs[1:] + pairs[:1]), dict(sorted(pairs))]
+    tensors = [SparseTensor(4, 2, source) for source in sources]
+    for tensor in tensors:
+        assert tensor.index.dtype == np.int64
+        assert tensor.values.dtype == np.float64
+        assert tensor.index.tolist() == [list(row) for row in rows]
+        assert tensor.values.tolist() == [ENTRIES[row] for row in rows]
+        assert not tensor.index.flags.writeable
+        assert not tensor.values.flags.writeable
+        assert list(tensor.entries) == rows
+        assert tensor == tensors[0]
+        assert hash(tensor) == hash(tensors[0])
+    with pytest.raises(AttributeError, match="immutable"):
+        tensors[0].index = tensors[0].index
+
+
+def test_from_arrays_wraps_without_copying():
+    index = np.array([[1, 1, 1, 2], [2, 1, 1, 1]], dtype=np.int64)
+    values = np.array([1.0, -0.5])
+    tensor = SparseTensor.from_arrays(4, 2, index, values)
+    assert tensor.index is index
+    assert tensor.values is values
+    assert not index.flags.writeable and not values.flags.writeable
+    assert tensor == SparseTensor(4, 2, {(2, 1, 1, 1): -0.5, (1, 1, 1, 2): 1.0})
+
+
+def test_equality_repr_pickle_and_deepcopy():
+    tensor = SparseTensor(4, 2, ENTRIES)
+    assert tensor != SparseTensor(4, 2, {**ENTRIES, (1, 1, 1, 2): 1.5})
+    assert tensor != SparseTensor(4, 3, ENTRIES)
+    assert tensor != ENTRIES
+    assert repr(tensor) == (
+        "SparseTensor(order=4, dim=2, entries={(1, 1, 1, 2): 1.0, (1, 2, 2, 2): 2.0, "
+        "(2, 1, 1, 1): -0.5, (2, 2, 1, 2): 0.75})"
+    )
+    system = Polysystem(tensor, np.array([[1.0], [0.0]]))
+    for clone in (pickle.loads(pickle.dumps(system)), copy.deepcopy(system)):
+        assert clone.tensor == tensor
+        assert clone.tensor.index is not tensor.index
+        assert not clone.tensor.index.flags.writeable
+        assert not clone.tensor.values.flags.writeable
+        assert np.array_equal(clone.control, system.control)
+    assert pickle.loads(pickle.dumps(tensor)) == copy.deepcopy(tensor) == tensor
 
 
 def test_entries_normalize_integer_like_indices():
