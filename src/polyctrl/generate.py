@@ -37,6 +37,12 @@ def _draw_control_support(rng, n, m, count):
     return frozenset(support)
 
 
+def _within_index_space(count: int, n: int, k: int) -> bool:
+    """count <= n**k, without forming n**k when k is huge: n**k is at least
+    2**(k * (bit_length(n) - 1)), which exceeds any count of fewer bits."""
+    return k * (int(n).bit_length() - 1) >= int(count).bit_length() or count <= n**k
+
+
 def check_shape(n: int, k: int, m: int) -> None:
     """Reject a shape no pattern can have: n or m below 1, an odd k or k
     below 2."""
@@ -64,7 +70,7 @@ def pattern_with_rng(
     cells = tensor_nnz * k + control_nnz * 2
     if cells > DEFAULT_CAP:
         raise CapacityError(f"pattern support needs {cells} cells, cap is {DEFAULT_CAP}")
-    if tensor_nnz > n**k:
+    if not _within_index_space(tensor_nnz, n, k):
         raise ValueError(f"tensor support {tensor_nnz} exceeds index space {n ** k}")
     if control_nnz > n * m:
         raise ValueError(f"control support {control_nnz} exceeds index space {n * m}")
@@ -90,7 +96,9 @@ def pattern_of_shape(
     """Pattern of the given shape with drawn support sizes: 1..max_tensor_nnz
     tensor entries (at most n**k) and 1..n*m control entries."""
     check_shape(n, k, m)
-    tensor_nnz = min(int(rng.integers(1, max_tensor_nnz + 1)), n**k)
+    tensor_nnz = int(rng.integers(1, max_tensor_nnz + 1))
+    if not _within_index_space(tensor_nnz, n, k):
+        tensor_nnz = n**k
     control_nnz = int(rng.integers(1, n * m + 1))
     return pattern_with_rng(rng, n, k, m, tensor_nnz, control_nnz)
 

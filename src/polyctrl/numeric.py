@@ -14,11 +14,13 @@ multiply, scatter to the heads, at a cost of nnz * (k-1) per point.  Each
 batch W is projected twice against the whole current basis, and the left
 singular vectors of the n x b residual are kept above a global cutoff:
 tol * sqrt(1 + sum ||W||_F**2) over the iteration so far, a bound on the
-largest singular value of the basis beside every batch.  A cutoff relative
-to the batch alone would turn a residual of pure rounding into a direction.
-An iteration ends when a batch keeps fewer directions than it has points
-(b generic points of a span of dimension d add min(b, d) directions), and
-the loop ends when an iteration adds nothing.
+largest singular value of the basis beside every batch, with tol = 0
+standing for n * machine epsilon (the basis and a batch never have more
+than n columns).  A cutoff relative to the batch alone would turn a
+residual of pure rounding into a direction.  An iteration ends when a batch
+keeps fewer directions than it has points (b generic points of a span of
+dimension d add min(b, d) directions), and the loop ends when an iteration
+adds nothing.
 
 The iteration has one entry, ``_reduce``, and runs on a stack of
 realizations of one support (R systems that share n and the entry indices,
@@ -26,14 +28,13 @@ with their own coefficients and B), so a pattern's realizations cost one
 set of numpy calls per batch, not R; ``strong_controllability`` is the
 stack of one.  The entries are in the index's lexicographic order, so the
 rank does not depend on the order of a file's lines.  The basis is an
-(R, n, n) array, and the matmuls and the SVD are stacked.  Members in
-lockstep share one generator: at equal ranks they draw the same normals.
-When the members' control ranks differ, or one batch keeps different
-numbers of directions, the stack splits by that number.  Each part carries
-on with its own rank, iteration start, per-member scales, iteration count
-and a copy of the generator, so every member's result is bit-identical to
-a run on that member alone; a stack of one never splits.  Norms stay per
-member (``c @ c``, ``np.vdot``) for the same reason.
+(R, n, n) array, and the matmuls and the SVD are stacked.  The members of a
+stack start at one control rank and draw the same normals from a fresh
+generator.  When one batch keeps different numbers of directions across
+them, the stack reruns from its start as one stack per number, so every
+member draws what a run on it alone draws and its result is bit-identical
+to that run; a stack of one never diverges.  Norms stay per member
+(``c @ c``, ``np.vdot``) for the same reason.
 
 The explicit controllability matrix runs the same recursion uncompressed
 on the tail-symmetrized unfolding: each step appends A applied to the
@@ -44,9 +45,7 @@ only serves as a desk-scale oracle.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable
 
 import numpy as np
@@ -91,69 +90,39 @@ def svd_rank(mat: np.ndarray, tol: float = 0.0) -> int:
     return int(np.count_nonzero(sigma > _relative_tolerance(tol, mat.shape) * sigma[0]))
 
 
-class _Lockstep:
-    """Members of a stack that have kept the same number of directions in
-    every batch so far, with the loop state they share: the rank, the rank
-    the running iteration started from (None between iterations), the
-    iteration count, the generator and the cutoff, plus each member's basis
-    rows and scale."""
-
-    def __init__(self, members, basis, rank, rng, tolerance) -> None:
-        self.members, self.basis, self.rank = members, basis, rank
-        self.rng, self.tolerance = rng, tolerance
-        self.start = self.scale = None
-        self.iterations = 0
-        self.done = False
-
-    def run(self, n: int, index, coeffs, tol: float) -> list[_Lockstep]:
-        """Iterate until the loop ends and return [], or until the members
-        keep different numbers of directions in one batch and return one
-        part per number."""
-        coeffs = coeffs[self.members]
-        basis = self.basis
+def _iterate(n: int, index, coeffs, u: np.ndarray, rank: int, cutoff: float):
+    """The rank iteration on members that share a control rank, from the
+    first ``rank`` left singular vectors ``u`` of their control matrices and
+    a fresh generator.  Returns the rank, the iteration count and None, or,
+    from the first batch where the members keep different numbers of
+    directions, each member's number in place of the None."""
+    basis = np.empty((len(u), n, n))
+    basis[:, :rank] = u[:, :, :rank].transpose(0, 2, 1)
+    rng = np.random.default_rng(0)
+    iterations = 0
+    while 0 < rank < n:
+        iterations += 1
+        start, scale = rank, [1.0] * len(basis)
         while True:
-            if self.start is None:
-                if self.done or not 0 < self.rank < n:
-                    return []
-                self.iterations += 1
-                self.start, self.scale = self.rank, [1.0] * len(basis)
-            rank, start = self.rank, self.start
             width = min(_BATCH, n - rank)
-            self.tolerance = _relative_tolerance(tol, (n, rank + width))
-            normals = self.rng.standard_normal((start, width))
+            normals = rng.standard_normal((start, width))
             block = _field(index, coeffs, basis[:, :start].transpose(0, 2, 1) @ normals)
             # per member, so every value matches a run on that member alone
-            self.scale = [s + np.vdot(b, b) for s, b in zip(self.scale, block)]
+            scale = [s + np.vdot(b, b) for s, b in zip(scale, block)]
             for _ in range(2):
                 block -= basis[:, :rank].transpose(0, 2, 1) @ (basis[:, :rank] @ block)
-            u, sigma, _ = np.linalg.svd(block, full_matrices=False)
-            kept = [
-                int(np.count_nonzero(row > self.tolerance * s**0.5))
-                for row, s in zip(sigma, self.scale)
-            ]
-            counts = set(kept)
-            if len(counts) > 1:
-                kept = np.array(kept)
-                return [self._part(kept == count, count, u, width, n) for count in counts]
-            self._keep(counts.pop(), u, width, n)
-
-    def _keep(self, count: int, u: np.ndarray, width: int, n: int) -> None:
-        """Append ``count`` new directions from ``u`` and end the iteration
-        when the batch kept fewer than it had points or the basis is full;
-        an iteration that added nothing ends the loop."""
-        self.basis[:, self.rank : self.rank + count] = u[:, :, :count].transpose(0, 2, 1)
-        self.rank += count
-        if count < width or self.rank == n:
-            self.done = self.rank == self.start
-            self.start = None
-
-    def _part(self, mask, count: int, u, width: int, n: int) -> _Lockstep:
-        part = copy.copy(self)
-        part.members, part.basis = self.members[mask], self.basis[mask]
-        part.scale = list(compress(self.scale, mask))
-        part.rng = copy.deepcopy(self.rng)
-        part._keep(count, u[mask], width, n)
-        return part
+            w, sigma, _ = np.linalg.svd(block, full_matrices=False)
+            kept = [int(np.count_nonzero(row > cutoff * s**0.5)) for row, s in zip(sigma, scale)]
+            count = kept[0]
+            if kept.count(count) < len(kept):
+                return rank, iterations, kept
+            basis[:, rank : rank + count] = w[:, :, :count].transpose(0, 2, 1)
+            rank += count
+            if count < width or rank == n:
+                break
+        if rank == start:
+            break
+    return rank, iterations, None
 
 
 def _reduce(
@@ -166,10 +135,11 @@ def _reduce(
     control matrices.  Each member's coefficients are scaled to unit
     Euclidean norm and B is orthonormalized up front, so the verdict does
     not depend on the overall scale of either.  ``tol`` is the relative
-    singular-value cutoff; 0 selects the automatic max(n, r + b) *
-    machine-epsilon cutoff for a batch of b points beside a basis of r
-    columns.  ``cap`` bounds the cells of each member's n x n basis and one
-    batch.  Returns each member's rank, iteration count and cutoff.
+    singular-value cutoff; 0 selects the automatic n * machine-epsilon
+    cutoff (a batch beside the basis never has more than n columns).
+    ``cap`` bounds the cells of each member's n x n basis and one batch.
+    Returns each member's rank, iteration count and cutoff; a member that
+    did not iterate reports the cutoff of its control rank.
     """
     cells = len(controls) * (n * n + (n + index[:, :-1].size) * min(_BATCH, n))
     if cells > cap:
@@ -181,25 +151,23 @@ def _reduce(
             c /= np.sqrt(c @ c)
     index = index - 1
     u, sigma, _ = np.linalg.svd(controls, full_matrices=False)
-    used_tol = _relative_tolerance(tol, controls.shape[1:])
-    ranks = np.array([np.count_nonzero(row > used_tol * row[0]) for row in sigma])
-    # One generator per stack, so the rank is deterministic; a group that
-    # starts from another control rank gets a copy of it.
-    rng = np.random.default_rng(0)
-    work = []
-    for rank in set(ranks.tolist()):
-        members = np.flatnonzero(ranks == rank)
-        basis = np.empty((len(members), n, n))
-        basis[:, :rank] = u[members, :, :rank].transpose(0, 2, 1)
-        work.append(_Lockstep(members, basis, rank, copy.deepcopy(rng) if work else rng, used_tol))
+    control_cutoff = _relative_tolerance(tol, controls.shape[1:])
+    cutoff = _relative_tolerance(tol, (n, n))
+    ranks = np.array([np.count_nonzero(row > control_cutoff * row[0]) for row in sigma])
+    # A set whose members keep different numbers of directions in one batch
+    # reruns from its start as one set per number; every member then draws
+    # what a run on it alone draws.
+    work = [np.flatnonzero(ranks == rank) for rank in set(ranks.tolist())]
     results: list = [None] * len(controls)
     while work:
-        group = work.pop()
-        parts = group.run(n, index, coeffs, tol)
-        work.extend(parts)
-        if not parts:
-            for member in group.members:
-                results[member] = (group.rank, group.iterations, group.tolerance)
+        members = work.pop()
+        start = int(ranks[members[0]])
+        rank, iterations, kept = _iterate(n, index, coeffs[members], u[members], start, cutoff)
+        if kept is not None:
+            work.extend(members[np.array(kept) == count] for count in set(kept))
+            continue
+        for member in members:
+            results[member] = (rank, iterations, cutoff if iterations else control_cutoff)
     return results
 
 

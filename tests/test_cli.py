@@ -371,6 +371,15 @@ def test_validate_json_sha256(capsys, n, k, m, seed):
     assert sha256_of_output(capsys, argv) == VALIDATE_PINS[n, k, m, seed]
 
 
+def test_validate_json_sha256_with_divergent_stacks(capsys):
+    # at the automatic cutoff two of these stacks diverge and rerun in parts
+    argv = ["validate", "--json", "--trials", "200", "--n", "8", "--k", "2", "--m", "2",
+            "--seed", "1", "--tol", "0"]
+    assert sha256_of_output(capsys, argv) == (
+        "c1d103c123b0028ba084e4f9f42223766da0f0fdb9cc917ba0de524a252f54b9"
+    )
+
+
 def chain_text(n, k, seed):
     """x_{i+1}' = +-x_i^(k-1) driven at vertex 1, signs drawn from the seed."""
     signs = np.random.default_rng([seed, n, k]).choice([-1.0, 1.0], size=n).tolist()
@@ -533,6 +542,10 @@ def test_huge_vertex_count_is_a_capacity_error(tmp_path, capsys, command, text):
         (
             ["gen", "--n", "10000", "--k", "2", "--m", "1", "--tensor-nnz", "40000000"],
             "pattern support needs 80000002 cells",
+        ),
+        (
+            ["validate", "--n", "3", "--k", "100000000", "--m", "1", "--trials", "1"],
+            "pattern support needs",
         ),
     ],
 )

@@ -362,6 +362,33 @@ def test_stack_members_with_different_control_ranks():
     assert [rank for rank, _, _ in stacked] == [4, 2]
 
 
+def test_nested_split_matches_single_runs():
+    """A k=2 chain 1 -> 2 -> 3 -> 4 driven at vertex 1, with the later links
+    cut one by one: the stack splits at the second iteration, when the
+    member without link 2 -> 3 stops, and again inside the part that goes
+    on, when the member without link 3 -> 4 stops."""
+    index = np.array([[1, 2], [2, 3], [3, 4]])
+    coeffs = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    controls = np.tile(np.eye(4)[:, :1], (3, 1, 1))
+    stacked = _reduce(4, index, coeffs, controls, 0.0, 1 << 20)
+    assert [(rank, iterations) for rank, iterations, _ in stacked] == [(4, 3), (3, 3), (2, 2)]
+    for member, result in enumerate(stacked):
+        one = slice(member, member + 1)
+        assert _reduce(4, index, coeffs[one], controls[one], 0.0, 1 << 20) == [result]
+
+
+def test_reported_cutoff_with_more_inputs_than_dimensions():
+    """A member that does not iterate reports the control cutoff max(n, m)
+    * eps; one that iterates reports the batch cutoff n * eps."""
+    eps = np.finfo(float).eps
+    full = Polysystem(SparseTensor(4, 2, {(1, 1, 1, 2): 1.0}), np.array([[1, 0, 1], [0, 1, 1.0]]))
+    report = strong_controllability(full)
+    assert (report.rank, report.iterations, report.tolerance) == (2, 0, 3 * eps)
+    tensor = SparseTensor(4, 3, {(1, 1, 1, 2): 1.0, (2, 2, 2, 3): 0.5})
+    report = strong_controllability(Polysystem(tensor, np.outer([1.0, 0, 0], np.ones(5))))
+    assert (report.rank, report.iterations, report.tolerance) == (3, 2, 3 * eps)
+
+
 def test_stack_cap_counts_every_member():
     pattern = sparsity_pattern(cubic_forward_system())
     # one member: a 2 x 2 basis plus a batch of 2 points, 2 cells each and
