@@ -39,7 +39,6 @@ from .system import (
     SparsityPattern,
     sample_realization,
     sparsity_pattern,
-    validate,
 )
 from .tensor import (
     DEFAULT_CAP,
@@ -84,7 +83,6 @@ __all__ = [
     "structural_verdict",
     "svd_rank",
     "unfold",
-    "validate",
     "verdict_against_rank",
     "__version__",
 ]

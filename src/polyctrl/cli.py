@@ -27,7 +27,7 @@ from .structural import (
     structural_verdict,
     verdict_against_rank,
 )
-from .system import Polysystem, ensure_valid, sample_realization, sparsity_pattern
+from .system import Polysystem, sample_realization, sparsity_pattern
 from .tensor import DEFAULT_CAP, CapacityError
 
 import numpy as np
@@ -127,7 +127,7 @@ def _emit_error(args, kind: str, message: str) -> None:
 
 
 def _graph(obj) -> DirectedHypergraph:
-    """The input as a hypergraph; a system is checked and projected first."""
+    """The input as a hypergraph; a system is projected first."""
     if isinstance(obj, DirectedHypergraph):
         return obj
     if isinstance(obj, Polysystem):
@@ -140,7 +140,6 @@ def _system(obj, args) -> tuple[Polysystem, int | None]:
     if isinstance(obj, DirectedHypergraph):
         raise ValueError("this command needs tensor/matrix input, not a hypergraph")
     if isinstance(obj, Polysystem):
-        ensure_valid(obj)
         return obj, None
     return sample_realization(obj, args.seed), args.seed
 

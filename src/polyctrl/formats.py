@@ -63,15 +63,6 @@ def _parse_value(token: str, line_no: int) -> float:
     return value
 
 
-def _parse_indices(tokens, line_no: int, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:
-        for token in tokens:
-            _parse_int(token, line_no, what)
-        raise
-
-
 def _tensor_header(line_no: int, tokens: list[str]) -> tuple[int, int]:
     if len(tokens) != 3 or tokens[0] != "tensor":
         raise ParseError(line_no, "expected header 'tensor k n'")
@@ -188,84 +179,54 @@ def _parse_lines(text: str) -> Polysystem | SparsityPattern:
         raise ParseError(1, "empty input")
     line_no, tokens = header
     k, n = _tensor_header(line_no, tokens)
-
-    valued: bool | None = None
-    # first line of each multi-index, and its value when entries carry one
-    tensor_lines: dict[tuple[int, ...], int] = {}
-    tensor_values: dict[tuple[int, ...], float] = {}
-    for line_no, tokens in lines:
-        if tokens[0] == "matrix":
-            break
-        if len(tokens) == k:
-            has_value = False
-        elif len(tokens) == k + 1:
-            has_value = True
-        else:
-            raise ParseError(
-                line_no, f"expected {k} indices with an optional value, got {len(tokens)} tokens"
-            )
-        if valued is None:
-            valued = has_value
-        elif valued != has_value:
-            raise ParseError(line_no, "entries mix valued and pattern-only lines")
-        if has_value:
-            value = _parse_value(tokens[k], line_no)
-            tokens = tokens[:k]
-        idx = _parse_indices(tokens, line_no, "index")
-        if min(idx) < 1 or max(idx) > n:
-            i = next(i for i in idx if not 1 <= i <= n)
-            raise ParseError(line_no, f"index {i} outside [1, {n}]")
-        first = tensor_lines.setdefault(idx, line_no)
-        if first != line_no:
-            raise ParseError(line_no, f"duplicate multi-index {idx} (first at line {first})")
-        if has_value:
-            tensor_values[idx] = value
-    else:
-        raise ParseError(line_no, "missing 'matrix n m' section")
-
-    m = _matrix_header(line_no, tokens, n)
-
-    control_lines: dict[tuple[int, int], int] = {}
-    control_values: dict[tuple[int, int], float] = {}
-    for line_no, tokens in lines:
-        if len(tokens) == 2:
-            has_value = False
-        elif len(tokens) == 3:
-            has_value = True
-        else:
-            raise ParseError(
-                line_no, f"expected 2 indices with an optional value, got {len(tokens)} tokens"
-            )
-        if valued is None:
-            valued = has_value
-        elif valued != has_value:
-            raise ParseError(line_no, "entries mix valued and pattern-only lines")
-        if has_value:
-            value = _parse_value(tokens[2], line_no)
-        i = _parse_int(tokens[0], line_no, "row")
-        j = _parse_int(tokens[1], line_no, "column")
-        if not 1 <= i <= n:
-            raise ParseError(line_no, f"row {i} outside [1, {n}]")
-        if not 1 <= j <= m:
-            raise ParseError(line_no, f"column {j} outside [1, {m}]")
-        first = control_lines.setdefault((i, j), line_no)
-        if first != line_no:
-            raise ParseError(line_no, f"duplicate entry ({i}, {j}) (first at line {first})")
-        if has_value:
-            control_values[(i, j)] = value
-
-    if valued:
-        control = np.zeros((n, m))
-        for (i, j), value in control_values.items():
-            control[i - 1, j - 1] = value
-        return Polysystem(SparseTensor(k, n, tensor_values), control)
-    return SparsityPattern(
-        order=k,
-        dim=n,
-        inputs=m,
-        tensor_support=frozenset(tensor_lines),
-        control_support=frozenset(control_lines),
+    tensor, valued, line_no, tokens = _read_section(
+        lines, line_no, ("index",) * k, (n,) * k, "multi-index", None, "matrix"
     )
+    if tokens is None:
+        raise ParseError(line_no, "missing 'matrix n m' section")
+    m = _matrix_header(line_no, tokens, n)
+    control, valued, *_ = _read_section(lines, line_no, ("row", "column"), (n, m), "entry", valued)
+    if valued:
+        matrix = np.zeros((n, m))
+        for (i, j), value in control.items():
+            matrix[i - 1, j - 1] = value
+        return Polysystem(SparseTensor(k, n, tensor), matrix)
+    return SparsityPattern(k, n, m, frozenset(tensor), frozenset(control))
+
+
+def _read_section(lines, line_no, names, highs, label, valued, stop=None):
+    """Read entry lines, ``len(names)`` indices in [1, ``highs``] and an
+    optional value each, up to a line starting with ``stop``.  Messages call
+    index c ``names[c]`` and a repeat a duplicate ``label``; ``valued`` is
+    whether entries so far carry values (None before the first).  Returns
+    each index's value (None if it has none), ``valued``, and the stop
+    line's number and tokens, or the last line's number and None."""
+    width = len(names)
+    first_lines: dict[tuple[int, ...], int] = {}
+    entries: dict[tuple[int, ...], float | None] = {}
+    for line_no, tokens in lines:
+        if tokens[0] == stop:
+            return entries, valued, line_no, tokens
+        if len(tokens) not in (width, width + 1):
+            raise ParseError(
+                line_no,
+                f"expected {width} indices with an optional value, got {len(tokens)} tokens",
+            )
+        has_value = len(tokens) == width + 1
+        if valued is None:
+            valued = has_value
+        elif valued != has_value:
+            raise ParseError(line_no, "entries mix valued and pattern-only lines")
+        value = _parse_value(tokens[width], line_no) if has_value else None
+        idx = tuple(_parse_int(token, line_no, name) for token, name in zip(tokens, names))
+        for i, name, high in zip(idx, names, highs):
+            if not 1 <= i <= high:
+                raise ParseError(line_no, f"{name} {i} outside [1, {high}]")
+        first = first_lines.setdefault(idx, line_no)
+        if first != line_no:
+            raise ParseError(line_no, f"duplicate {label} {idx} (first at line {first})")
+        entries[idx] = value
+    return entries, valued, line_no, None
 
 
 def _vertex_group(part: str, line_no: int, what: str) -> list[int]:

@@ -197,7 +197,7 @@ def _group_tensor(pattern: SparsityPattern) -> tuple[list[int], list[int], list[
     rows = rows[np.lexsort(rows.T[::-1])]
     change = rows[1:] != rows[:-1]
     starts = np.ones(len(rows), dtype=bool)
-    np.any(change[:, :-1], axis=1, out=starts[1:])
+    starts[1:] = change[:, :-1].any(axis=1)
     keep = starts.copy()
     keep[1:] |= change[:, -1]
     head_idx = rows[keep, -1].tolist()

@@ -50,7 +50,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .system import Polysystem, SparsityPattern, ensure_order, ensure_valid, sample_coefficients
+from .system import Polysystem, SparsityPattern, ensure_order, sample_coefficients
 from .tensor import DEFAULT_CAP, CapacityError, _field, kron_power, symmetrize, unfold
 
 __all__ = [
@@ -189,7 +189,6 @@ def strong_controllability(
 ) -> RankReport:
     """Rank verdict from the reduced controllability matrix: the rank
     iteration of ``_reduce`` on a stack of one."""
-    ensure_valid(system)
     tensor, n = system.tensor, system.dim
     results = _reduce(n, tensor.index, tensor.values[None], system.control[None], tol, cap)
     [report] = _reports(n, results)
@@ -222,7 +221,6 @@ def explicit_controllability_matrix(
     2, 10).  Intended as a small-scale rank oracle only; the capacity error
     on column blowup is the expected behaviour beyond desk sizes.
     """
-    ensure_valid(system)
     if terms < 1:
         raise ValueError(f"need at least one term, got {terms}")
     a_mat = unfold(symmetrize(system.tensor), cap=cap)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .hypergraph import DirectedHypergraph
 from .numeric import svd_rank
-from .system import Polysystem, ensure_valid
+from .system import Polysystem
 from .tensor import CapacityError
 
 __all__ = [
@@ -116,7 +116,6 @@ def field_from_polysystem(
     system: Polysystem,
 ) -> tuple[PolyVectorField, tuple[PolyVectorField, ...]]:
     """Drift field from the tensor plus one constant field per input column."""
-    ensure_valid(system)
     n = system.dim
     coords: list[Polynomial] = [{} for _ in range(n)]
     for idx, coeff in zip(system.tensor.index.tolist(), system.tensor.values.tolist()):
@@ -160,12 +159,13 @@ class _FieldSpan:
     """Span of fields over the monomial-coordinate basis.
 
     Integer coefficient systems get exact Fraction elimination; anything
-    else falls back to orthogonal residuals with a relative tolerance.
+    else falls back to orthogonal residuals with relative tolerance ``RTOL``.
     """
 
-    def __init__(self, exact: bool, rtol: float = 1e-10) -> None:
+    RTOL = 1e-10
+
+    def __init__(self, exact: bool) -> None:
         self.exact = exact
-        self.rtol = rtol
         self.index: dict[tuple[int, Powers], int] = {}
         self.rows: list[np.ndarray] = []
         self.echelon: list[dict[tuple[int, Powers], Fraction]] = []
@@ -219,7 +219,7 @@ class _FieldSpan:
             for row in self.rows:
                 residual -= (row @ residual) * row
         res_norm = np.linalg.norm(residual)
-        if res_norm <= self.rtol * norm:
+        if res_norm <= self.RTOL * norm:
             return False
         self.rows.append(residual / res_norm)
         return True
@@ -244,7 +244,6 @@ def _bracket_generation(
     system: Polysystem, depth_cap: int | None
 ) -> tuple[PolyVectorField, tuple[PolyVectorField, ...], list[PolyVectorField], bool]:
     """Drift, inputs, the independent fields found, and whether they closed."""
-    ensure_valid(system)
     n, k = system.dim, system.order
     if n > 4 or k > 4:
         raise CapacityError(

@@ -1,9 +1,11 @@
 """Polynomial control systems, their sparsity patterns, and realization sampling.
 
 A system pairs a k-mode coefficient tensor (the drift ``A x^(k-1)``) with a
-linear control matrix B.  The structural layer works on sparsity patterns
-alone; ``sample_realization`` turns a pattern back into a concrete system
-with coefficients bounded away from zero.
+linear control matrix B.  A Polysystem checks itself when built and
+refuses invalid input, so no operation on one checks it again; a
+SparsityPattern's constructor checks its support.  The structural layer
+works on sparsity patterns alone; ``sample_realization`` turns a pattern
+back into a concrete system with coefficients bounded away from zero.
 """
 
 from __future__ import annotations
@@ -20,22 +22,19 @@ __all__ = [
     "Polysystem",
     "SparsityPattern",
     "ensure_order",
-    "ensure_valid",
     "sample_coefficients",
     "sample_realization",
     "sparsity_pattern",
-    "validate",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class Polysystem:
-    """Coefficient tensor plus control matrix.
+    """Coefficient tensor plus control matrix, a 1-D control read as one column.
 
-    Construction is deliberately loose so that malformed systems can be
-    inspected: ``validate`` reports violations instead of the constructor
-    raising.  Operations that require a well-formed system call
-    ``ensure_valid`` first.
+    Construction raises ``ValueError("invalid system: ...")`` naming every
+    violation: an odd tensor order, or a control matrix that is not 2-D,
+    lacks one row per coordinate or a column, or has non-finite entries.
     """
 
     tensor: SparseTensor
@@ -47,6 +46,19 @@ class Polysystem:
             b = b[:, None]
         b.setflags(write=False)
         object.__setattr__(self, "control", b)
+        violations = _parity_violations(self.order)
+        if b.ndim != 2:
+            violations.append(f"shape: control matrix has {b.ndim} axes")
+        else:
+            if len(b) != self.dim:
+                violations.append(
+                    f"dimension: control matrix has {len(b)} rows, tensor dimension is {self.dim}"
+                )
+            if b.shape[1] < 1:
+                violations.append("dimension: control matrix needs at least one column")
+            if not np.isfinite(b).all():
+                violations.append("value: control matrix has non-finite entries")
+        _raise_violations(violations)
 
     @property
     def order(self) -> int:
@@ -61,25 +73,6 @@ class Polysystem:
         return self.control.shape[-1]
 
 
-def validate(system: Polysystem) -> list[str]:
-    """Return all invariant violations, empty when the system is well formed."""
-    violations = _parity_violations(system.tensor.order)
-    if system.control.ndim != 2:
-        violations.append(f"shape: control matrix has {system.control.ndim} axes")
-        return violations
-    rows, cols = system.control.shape
-    if rows != system.tensor.dim:
-        violations.append(
-            f"dimension: control matrix has {rows} rows, tensor dimension is "
-            f"{system.tensor.dim}"
-        )
-    if cols < 1:
-        violations.append("dimension: control matrix needs at least one column")
-    if not np.isfinite(system.control).all():
-        violations.append("value: control matrix has non-finite entries")
-    return violations
-
-
 def _parity_violations(order: int) -> list[str]:
     if order % 2 != 0:
         return [f"parity: tensor order k={order} is odd, so the drift degree k-1 is not odd"]
@@ -91,12 +84,8 @@ def _raise_violations(violations: list[str]) -> None:
         raise ValueError("invalid system: " + "; ".join(violations))
 
 
-def ensure_valid(system: Polysystem) -> None:
-    _raise_violations(validate(system))
-
-
 def ensure_order(order: int) -> None:
-    """Raise as ``ensure_valid`` does for a system of this tensor order.  A
+    """Raise as building a Polysystem does for a tensor of this order.  A
     realization drawn from a pattern can fail no other check."""
     _raise_violations(_parity_violations(order))
 
@@ -105,8 +94,9 @@ def _support_index(support, width: int, what: str) -> np.ndarray:
     """A support as an int64 array of shape (len(support), width):
     its distinct rows in lexicographic order.
 
-    Every tuple must have ``width`` entries; entries that are not ints are
-    converted as ``int()`` would, and rows equal after that are merged.
+    Every tuple must have ``width`` entries, each equal to an int (so
+    ``1.0``, ``True`` and numpy ints pass, ``1.5`` and ``'1'`` do not);
+    rows equal as ints are merged.
     """
     if not isinstance(support, (set, frozenset)):
         support = set(map(tuple, support))
@@ -114,7 +104,7 @@ def _support_index(support, width: int, what: str) -> np.ndarray:
         idx = next(idx for idx in support if len(idx) != width)
         raise ValueError(f"{what} {idx} has {len(idx)} modes, expected {width}")
     if set(map(type, chain.from_iterable(support))) - {int}:
-        support = set(zip(*[map(int, chain.from_iterable(support))] * width))
+        support = {tuple(_integer(v, idx, what) for v in idx) for idx in support}
     try:
         index = np.fromiter(
             chain.from_iterable(sorted(support)), dtype=np.int64, count=len(support) * width
@@ -122,6 +112,16 @@ def _support_index(support, width: int, what: str) -> np.ndarray:
     except OverflowError:
         raise ValueError(f"{what} entries outside the int64 range") from None
     return index.reshape(len(support), width)
+
+
+def _integer(value, idx: tuple, what: str) -> int:
+    """``value`` as an int, when it equals one."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} {idx} has entry {value!r}, which is not an integer")
 
 
 def _first_outside(index: np.ndarray, highs) -> tuple | None:
@@ -199,8 +199,7 @@ class SparsityPattern(_FrozenArrays):
 
 
 def sparsity_pattern(system: Polysystem) -> SparsityPattern:
-    """Project a well-formed system onto its structural support."""
-    ensure_valid(system)
+    """Project a system onto its structural support."""
     return SparsityPattern.from_index(
         system.order,
         system.dim,

@@ -1,7 +1,12 @@
-"""Every exported name resolves, in the package and in each of its modules."""
+"""Every exported name resolves, in the package and in each of its modules,
+and every module-level definition is exported or used."""
 
+import ast
 import importlib
 import pkgutil
+from collections import Counter
+from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +25,33 @@ def test_every_exported_name_resolves(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def referenced_names(tree):
+    """Every name a tree reads, imports or reads as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_module_level_definition_is_exported_or_used():
+    """A function or class that is in no ``__all__`` and that no code in the
+    package names, apart from its own body, is dead."""
+    source = Path(polyctrl.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(source.glob("*.py"))}
+    uses = Counter(chain.from_iterable(map(referenced_names, trees.values())))
+    dead = []
+    for stem, tree in trees.items():
+        name = "polyctrl" if stem == "__init__" else f"polyctrl.{stem}"
+        exported = set(importlib.import_module(name).__all__)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            own = Counter(referenced_names(node))[node.name]
+            if node.name not in exported and uses[node.name] == own:
+                dead.append(f"{name}.{node.name}")
+    assert dead == []

@@ -1,5 +1,8 @@
 """Text format parsing, error reporting with line numbers, round-trips."""
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,3 +367,111 @@ def test_sampled_system_round_trip_is_exact(seed):
 
     system = sample_realization(random_pattern(3, 4, 2, 4, 3, seed), seed)
     assert_systems_equal(parse_system(serialize(system)), system)
+
+
+# --- a seeded corpus of mutated texts, pinned by one digest ---
+
+_TOKENS = [
+    "0", "-1", "3", "5", "x", "1.5", "+1", "1_0", "01", "1.0", "2", "-0.5", "inf", "-inf",
+    "nan", "0.0", "-0.0", "0e5", "1e400", "１", "٣", "99999999999999999999",
+    "matrix", "tensor", "#",
+]
+_LINES = [
+    "", "  ", "\t", "# note", "#", "matrix", "matrix 2", "matrix 1 1", "matrix 2 0",
+    "matrixx 1 1", "tensor 4 2", "1 1", "1 1 1.0", "1 2 1 2",
+]
+
+
+def _valid_lines(rng):
+    """A valid system or pattern, as lines: order 2 or 4, n <= 4, m <= 3."""
+    k, n, m = rng.choice([2, 4]), rng.randint(1, 4), rng.randint(1, 3)
+    valued = rng.random() < 0.5
+    tensor = {tuple(rng.randint(1, n) for _ in range(k)) for _ in range(rng.randint(0, 5))}
+    control = {(rng.randint(1, n), rng.randint(1, m)) for _ in range(rng.randint(0, 3))}
+
+    def line(idx):
+        value = [rng.choice(["1.0", "-0.5", "2", "1e-3", "-7.25"])] if valued else []
+        return " ".join([*map(str, idx), *value])
+
+    return [
+        f"tensor {k} {n}",
+        *map(line, sorted(tensor)),
+        f"matrix {n} {m}",
+        *map(line, sorted(control)),
+    ]
+
+
+def _mutate(rng, lines):
+    """One random edit of the line list, in place."""
+    at = rng.randrange(len(lines)) if lines else 0
+    tokens = lines[at].split() if lines else []
+    kind = rng.randrange(9)
+    if kind == 0 and tokens:  # drop a token
+        del tokens[rng.randrange(len(tokens))]
+        lines[at] = " ".join(tokens)
+    elif kind == 1:  # add a token, which may give a pattern line a value
+        lines[at:at + 1] = [" ".join(tokens + [rng.choice(_TOKENS)])]
+    elif kind == 2 and tokens:  # replace a token, headers included
+        tokens[rng.randrange(len(tokens))] = rng.choice(_TOKENS)
+        lines[at] = " ".join(tokens)
+    elif kind == 3 and lines:  # repeat a line further down
+        lines.insert(rng.randint(at, len(lines)), lines[at])
+    elif kind == 4 and lines:  # drop a line, headers included
+        del lines[at]
+    elif kind == 5:  # insert a blank, comment or header line
+        lines.insert(rng.randint(0, len(lines)), rng.choice(_LINES))
+    elif kind == 6 and tokens:  # a trailing comment or tab separators
+        lines[at] = rng.choice([" ".join(tokens) + " # c", "\t".join(tokens)])
+    elif kind == 7 and len(lines) > 1:  # swap two lines
+        other = rng.randrange(len(lines))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif kind == 8 and tokens:  # the value of a valued line becomes zero or not finite
+        tokens[-1] = rng.choice(["0", "0.0", "-0.0", "inf", "nan", "1e999"])
+        lines[at] = " ".join(tokens)
+
+
+def mutated_corpus(count=2000, seed=20231016):
+    """``count`` texts, each a valid system or pattern with up to three edits."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        lines = _valid_lines(rng)
+        for _ in range(rng.randint(0, 3)):
+            _mutate(rng, lines)
+        texts.append("\n".join(lines) + rng.choice(["\n", "", "\r\n"]))
+    return texts
+
+
+def corpus_outcome(text):
+    """The error's type and message, or the parsed object serialized."""
+    try:
+        return serialize(parse_input(text))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_mutated_corpus_outcomes_are_pinned():
+    outcomes = [corpus_outcome(text) for text in mutated_corpus()]
+    for fragment in [
+        "expected header 'tensor k n'",
+        "is not an integer",
+        "is odd",
+        "with an optional value, got",
+        "entries mix valued and pattern-only lines",
+        "exact-zero coefficient",
+        "is not finite",
+        "is not a number",
+        "outside [1, ",
+        "duplicate multi-index",
+        "duplicate entry",
+        "missing 'matrix n m' section",
+        "expected header 'matrix n m'",
+        "do not match tensor dimension",
+        "need at least one input column",
+        "unknown header",
+        "tensor 4 ",
+        "tensor 2 ",
+    ]:
+        assert any(fragment in outcome for outcome in outcomes), fragment
+    digest = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
+    assert digest == "576118d5a6b3b4f26a5ad15f63338a6c5644045ac1beb38d3c9401173a592313"

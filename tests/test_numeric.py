@@ -129,9 +129,8 @@ def test_negative_tolerance_is_rejected():
 
 
 def test_invalid_system_is_rejected():
-    broken = Polysystem(SparseTensor(3, 2, {(1, 1, 2): 1.0}), np.ones((2, 1)))
-    with pytest.raises(ValueError, match="invalid system"):
-        strong_controllability(broken)
+    with pytest.raises(ValueError, match="invalid system: parity"):
+        Polysystem(SparseTensor(3, 2, {(1, 1, 2): 1.0}), np.ones((2, 1)))
 
 
 def test_reduction_capacity_guard():

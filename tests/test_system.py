@@ -1,4 +1,4 @@
-"""Polysystem validation, sparsity projection, and realization sampling."""
+"""Polysystem construction checks, sparsity projection, and realization sampling."""
 
 import copy
 import pickle
@@ -14,54 +14,62 @@ from polyctrl.generate import random_system_pattern
 from polyctrl.system import (
     Polysystem,
     SparsityPattern,
-    ensure_valid,
     sample_coefficients,
     sample_realization,
     sparsity_pattern,
-    validate,
 )
 from polyctrl.tensor import SparseTensor
 
 
 def test_valid_systems_report_no_violations():
-    assert validate(cubic_forward_system()) == []
-    assert validate(linear_chain_system()) == []
+    for system in (cubic_forward_system(), linear_chain_system()):
+        assert Polysystem(system.tensor, system.control).control.shape == (system.dim, 1)
+
+
+def construction_error(tensor, control) -> str:
+    """The message ``Polysystem(tensor, control)`` raises."""
+    with pytest.raises(ValueError) as info:
+        Polysystem(tensor, control)
+    return str(info.value)
 
 
 def test_validate_flags_odd_order():
-    system = Polysystem(SparseTensor(3, 2, {(1, 2, 1): 1.0}), np.ones((2, 1)))
-    violations = validate(system)
-    assert len(violations) == 1
-    assert violations[0].startswith("parity:")
-    with pytest.raises(ValueError, match="invalid system"):
-        ensure_valid(system)
+    message = construction_error(SparseTensor(3, 2, {(1, 2, 1): 1.0}), np.ones((2, 1)))
+    assert message == (
+        "invalid system: parity: tensor order k=3 is odd, so the drift degree k-1 is not odd"
+    )
 
 
 def test_validate_flags_dimension_mismatch():
-    system = Polysystem(SparseTensor(4, 2, {}), np.ones((3, 1)))
-    assert any(v.startswith("dimension:") for v in validate(system))
+    message = construction_error(SparseTensor(4, 2, {}), np.ones((3, 1)))
+    assert message == (
+        "invalid system: dimension: control matrix has 3 rows, tensor dimension is 2"
+    )
 
 
 def test_validate_flags_missing_columns():
-    system = Polysystem(SparseTensor(4, 2, {}), np.empty((2, 0)))
-    assert any("at least one column" in v for v in validate(system))
+    message = construction_error(SparseTensor(4, 2, {}), np.empty((2, 0)))
+    assert message == "invalid system: dimension: control matrix needs at least one column"
 
 
 def test_validate_flags_bad_axis_count():
-    system = Polysystem(SparseTensor(4, 2, {}), np.ones((2, 1, 1)))
-    violations = validate(system)
-    assert len(violations) == 1
-    assert violations[0].startswith("shape:")
+    message = construction_error(SparseTensor(4, 2, {}), np.ones((2, 1, 1)))
+    assert message == "invalid system: shape: control matrix has 3 axes"
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_validate_flags_non_finite_control(value):
-    system = Polysystem(SparseTensor(4, 2, {}), np.array([[1.0], [value]]))
-    violations = validate(system)
-    assert len(violations) == 1
-    assert violations[0].startswith("value:")
-    with pytest.raises(ValueError, match="invalid system"):
-        ensure_valid(system)
+    message = construction_error(SparseTensor(4, 2, {}), np.array([[1.0], [value]]))
+    assert message == "invalid system: value: control matrix has non-finite entries"
+
+
+def test_construction_names_every_violation():
+    message = construction_error(SparseTensor(3, 2, {}), np.full((3, 0), np.nan))
+    assert message.startswith("invalid system: parity: ")
+    assert message.endswith(
+        "; dimension: control matrix has 3 rows, tensor dimension is 2"
+        "; dimension: control matrix needs at least one column"
+    )
 
 
 def test_one_dimensional_control_becomes_column():
@@ -101,6 +109,28 @@ def test_pattern_validation():
         SparsityPattern(4, 2, 1, frozenset({(1, 1, 1, 3)}), frozenset())
     with pytest.raises(ValueError):
         SparsityPattern(4, 2, 1, frozenset(), frozenset({(1, 2)}))
+
+
+@pytest.mark.parametrize(
+    "entry, shown",
+    [
+        (1.9, "1.9"),
+        (np.float64(2.5), repr(np.float64(2.5))),
+        ("2", "'2'"),
+        (float("inf"), "inf"),
+        (float("nan"), "nan"),
+        (None, "None"),
+    ],
+    ids=["fraction", "numpy-fraction", "string", "inf", "nan", "none"],
+)
+def test_pattern_refuses_an_entry_that_is_not_an_integer(entry, shown):
+    refusal = f"has entry {shown}, which is not an integer"
+    with pytest.raises(ValueError) as info:
+        SparsityPattern(2, 3, 1, [(entry, 2), (1, 1)], [(1, 1)])
+    assert str(info.value) == f"multi-index ({shown}, 2) {refusal}"
+    with pytest.raises(ValueError) as info:
+        SparsityPattern(2, 3, 1, [(1, 2)], [(1, entry)])
+    assert str(info.value) == f"control index (1, {shown}) {refusal}"
 
 
 def test_pattern_from_index_equals_checked_pattern():
