@@ -16,7 +16,7 @@ import sys
 import time
 
 from .formats import parse_input, serialize
-from .generate import check_shape, pattern_of_shape, random_pattern
+from .generate import pattern_of_shape, random_pattern
 from .hypergraph import DirectedHypergraph, build_hypergraph
 from .numeric import check_tolerance, strong_controllability
 from .oracle import lie_algebra_rank_at_origin
@@ -27,7 +27,7 @@ from .structural import (
     structural_verdict,
     verdict_against_rank,
 )
-from .system import Polysystem, sample_realization, sparsity_pattern
+from .system import Polysystem, check_shape, sample_realization, sparsity_pattern
 from .tensor import DEFAULT_CAP, CapacityError
 
 import numpy as np

@@ -26,7 +26,7 @@ import numpy as np
 
 from .hypergraph import DirectedHypergraph
 from .system import Polysystem, SparsityPattern
-from .tensor import SparseTensor
+from .tensor import DEFAULT_CAP, CapacityError, SparseTensor
 
 __all__ = ["ParseError", "parse_hypergraph", "parse_input", "parse_system", "serialize"]
 
@@ -187,6 +187,10 @@ def _parse_lines(text: str) -> Polysystem | SparsityPattern:
     m = _matrix_header(line_no, tokens, n)
     control, valued, *_ = _read_section(lines, line_no, ("row", "column"), (n, m), "entry", valued)
     if valued:
+        if n * m > DEFAULT_CAP:
+            raise CapacityError(
+                f"line {line_no}: control matrix needs {n * m} cells, cap is {DEFAULT_CAP}"
+            )
         matrix = np.zeros((n, m))
         for (i, j), value in control.items():
             matrix[i - 1, j - 1] = value

@@ -10,11 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from .hypergraph import DirectedHypergraph, Hyperedge
-from .system import SparsityPattern
+from .system import SparsityPattern, check_shape
 from .tensor import DEFAULT_CAP, CapacityError
 
 __all__ = [
-    "check_shape",
     "pattern_of_shape",
     "random_digraph_pattern",
     "random_hypergraph",
@@ -41,19 +40,6 @@ def _within_index_space(count: int, n: int, k: int) -> bool:
     """count <= n**k, without forming n**k when k is huge: n**k is at least
     2**(k * (bit_length(n) - 1)), which exceeds any count of fewer bits."""
     return k * (int(n).bit_length() - 1) >= int(count).bit_length() or count <= n**k
-
-
-def check_shape(n: int, k: int, m: int) -> None:
-    """Reject a shape no pattern can have: n or m below 1, an odd k or k
-    below 2."""
-    if n < 1:
-        raise ValueError(f"dimension n must be >= 1, got {n}")
-    if m < 1:
-        raise ValueError(f"input count m must be >= 1, got {m}")
-    if k % 2:
-        raise ValueError(f"tensor order k={k} is odd; the drift degree k-1 must be odd")
-    if k < 2:
-        raise ValueError(f"tensor order k must be >= 2, got {k}")
 
 
 def pattern_with_rng(
@@ -103,34 +89,30 @@ def pattern_of_shape(
     return pattern_with_rng(rng, n, k, m, tensor_nnz, control_nnz)
 
 
-def random_system_pattern(
-    seed: int,
-    n_low: int = 2,
-    n_high: int = 4,
-    k: int = 4,
-    m_high: int = 2,
-    max_tensor_nnz: int = 6,
-) -> SparsityPattern:
-    """Pattern with randomized shape, used by the cross-validation suites."""
+def random_system_pattern(seed: int, n_low: int = 2, n_high: int = 4) -> SparsityPattern:
+    """k=4 pattern with n in [n_low, n_high], one or two inputs and up to 6
+    tensor entries, used by the cross-validation suites."""
     rng = np.random.default_rng(int(seed))
     n = int(rng.integers(n_low, n_high + 1))
-    m = int(rng.integers(1, m_high + 1))
-    return pattern_of_shape(rng, n, k, m, max_tensor_nnz)
+    m = int(rng.integers(1, 3))
+    return pattern_of_shape(rng, n, 4, m)
 
 
-def random_digraph_pattern(seed: int, n_high: int = 6, m_high: int = 2) -> SparsityPattern:
-    """k=2 pattern, the classical structured linear system."""
+def random_digraph_pattern(seed: int) -> SparsityPattern:
+    """k=2 pattern with n in [2, 6] and one or two inputs, the classical
+    structured linear system."""
     rng = np.random.default_rng(int(seed))
-    n = int(rng.integers(2, n_high + 1))
-    m = int(rng.integers(1, m_high + 1))
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 3))
     return pattern_of_shape(rng, n, 2, m, 2 * n)
 
 
-def random_hypergraph(seed: int, n_high: int = 8, m_high: int = 2) -> DirectedHypergraph:
-    """Hypergraph with singleton or size-3 tails and random state heads."""
+def random_hypergraph(seed: int) -> DirectedHypergraph:
+    """Hypergraph with n in [1, 8], one or two inputs, singleton or size-3
+    tails and random state heads."""
     rng = np.random.default_rng(int(seed))
-    n = int(rng.integers(1, n_high + 1))
-    m = int(rng.integers(1, m_high + 1))
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(1, 3))
     target = int(rng.integers(0, 2 * n + 1))
     tails: set[tuple[int, ...]] = set()
     edges: list[Hyperedge] = []

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .system import SparsityPattern
-from .tensor import DEFAULT_CAP, CapacityError
+from .tensor import DEFAULT_CAP, CapacityError, _FrozenArrays
 
 __all__ = [
     "DirectedHypergraph",
@@ -93,14 +93,14 @@ class _EdgeView(Sequence):
         return repr(self._all())
 
 
-class DirectedHypergraph:
+class DirectedHypergraph(_FrozenArrays):
     """n state vertices, m input vertices, and a table of hyperedges.
 
     Tails are unique across edges; heads never contain input vertices
     (inputs have no dynamics of their own).  Edge order is preserved and is
     the tie-break order for everything downstream.  Constructing from
     ``Hyperedge``s checks all of this; ``from_table`` wraps a table that is
-    already valid.
+    already valid.  Equality, hashing and pickling go by the table.
     """
 
     __slots__ = ("n", "m", "tail_ptr", "tail_idx", "head_ptr", "head_idx", "edges")
@@ -136,11 +136,9 @@ class DirectedHypergraph:
     def from_table(cls, n, m, tail_ptr, tail_idx, head_ptr, head_idx) -> DirectedHypergraph:
         """Wrap a CSR edge table without checking it: tails sorted and
         unique, heads ascending state vertices, vertices in range."""
-        graph = cls.__new__(cls)
-        graph._fill(n, m, tail_ptr, tail_idx, head_ptr, head_idx, None)
-        return graph
+        return cls._wrap(n, m, tail_ptr, tail_idx, head_ptr, head_idx)
 
-    def _fill(self, n, m, tail_ptr, tail_idx, head_ptr, head_idx, edges) -> None:
+    def _fill(self, n, m, tail_ptr, tail_idx, head_ptr, head_idx, edges=None) -> None:
         # the structural algorithms keep tables with one slot per vertex
         if n + m > DEFAULT_CAP:
             raise CapacityError(f"graph has {n + m} vertices, cap is {DEFAULT_CAP}")
@@ -149,25 +147,11 @@ class DirectedHypergraph:
         table = (tuple(tail_ptr), tuple(tail_idx), tuple(head_ptr), tuple(head_idx))
         if edges is None:
             edges = _EdgeView(table)
-        for name, value in zip(self.__slots__, (n, m, *table, edges)):
-            object.__setattr__(self, name, value)
+        super()._fill(n, m, *table, edges)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DirectedHypergraph is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        return DirectedHypergraph.from_table, self._key()
-
-    def _key(self) -> tuple:
+    def _fields(self) -> tuple:
+        # the table alone: ``edges`` holds the same edges as Hyperedges
         return (self.n, self.m, self.tail_ptr, self.tail_idx, self.head_ptr, self.head_idx)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, DirectedHypergraph):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"DirectedHypergraph(n={self.n}, m={self.m}, edges={self.edges!r})"

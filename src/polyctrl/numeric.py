@@ -50,7 +50,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .system import Polysystem, SparsityPattern, ensure_order, sample_coefficients
+from .system import Polysystem, SparsityPattern, sample_coefficients
 from .tensor import DEFAULT_CAP, CapacityError, _field, kron_power, symmetrize, unfold
 
 __all__ = [
@@ -202,7 +202,6 @@ def realization_ranks(
     ``sample_coefficients`` and reduced as one stack.  Each report equals
     ``strong_controllability(sample_realization(pattern, seed), tol, cap)``
     bit for bit; ``cap`` counts the cells of the whole stack."""
-    ensure_order(pattern.order)
     index, coeffs, controls = sample_coefficients(pattern, seeds)
     return _reports(pattern.dim, _reduce(pattern.dim, index, coeffs, controls, tol, cap))
 

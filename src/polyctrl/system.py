@@ -3,9 +3,10 @@
 A system pairs a k-mode coefficient tensor (the drift ``A x^(k-1)``) with a
 linear control matrix B.  A Polysystem checks itself when built and
 refuses invalid input, so no operation on one checks it again; a
-SparsityPattern's constructor checks its support.  The structural layer
-works on sparsity patterns alone; ``sample_realization`` turns a pattern
-back into a concrete system with coefficients bounded away from zero.
+SparsityPattern's constructor checks its shape and its support.  The
+structural layer works on sparsity patterns alone; ``sample_realization``
+turns a pattern back into a concrete system with coefficients bounded away
+from zero.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor import SparseTensor, _FrozenArrays
+from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, _FrozenArrays, _integer
 
 __all__ = [
     "Polysystem",
     "SparsityPattern",
-    "ensure_order",
+    "check_shape",
     "sample_coefficients",
     "sample_realization",
     "sparsity_pattern",
@@ -46,7 +47,11 @@ class Polysystem:
             b = b[:, None]
         b.setflags(write=False)
         object.__setattr__(self, "control", b)
-        violations = _parity_violations(self.order)
+        violations = []
+        if self.order % 2 != 0:
+            violations.append(
+                f"parity: tensor order k={self.order} is odd, so the drift degree k-1 is not odd"
+            )
         if b.ndim != 2:
             violations.append(f"shape: control matrix has {b.ndim} axes")
         else:
@@ -58,7 +63,8 @@ class Polysystem:
                 violations.append("dimension: control matrix needs at least one column")
             if not np.isfinite(b).all():
                 violations.append("value: control matrix has non-finite entries")
-        _raise_violations(violations)
+        if violations:
+            raise ValueError("invalid system: " + "; ".join(violations))
 
     @property
     def order(self) -> int:
@@ -73,21 +79,17 @@ class Polysystem:
         return self.control.shape[-1]
 
 
-def _parity_violations(order: int) -> list[str]:
-    if order % 2 != 0:
-        return [f"parity: tensor order k={order} is odd, so the drift degree k-1 is not odd"]
-    return []
-
-
-def _raise_violations(violations: list[str]) -> None:
-    if violations:
-        raise ValueError("invalid system: " + "; ".join(violations))
-
-
-def ensure_order(order: int) -> None:
-    """Raise as building a Polysystem does for a tensor of this order.  A
-    realization drawn from a pattern can fail no other check."""
-    _raise_violations(_parity_violations(order))
+def check_shape(n: int, k: int, m: int) -> None:
+    """Reject a shape no pattern can have: n or m below 1, an odd k or k
+    below 2."""
+    if n < 1:
+        raise ValueError(f"dimension n must be >= 1, got {n}")
+    if m < 1:
+        raise ValueError(f"input count m must be >= 1, got {m}")
+    if k % 2:
+        raise ValueError(f"tensor order k={k} is odd; the drift degree k-1 must be odd")
+    if k < 2:
+        raise ValueError(f"tensor order k must be >= 2, got {k}")
 
 
 def _support_index(support, width: int, what: str) -> np.ndarray:
@@ -112,16 +114,6 @@ def _support_index(support, width: int, what: str) -> np.ndarray:
     except OverflowError:
         raise ValueError(f"{what} entries outside the int64 range") from None
     return index.reshape(len(support), width)
-
-
-def _integer(value, idx: tuple, what: str) -> int:
-    """``value`` as an int, when it equals one."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{what} {idx} has entry {value!r}, which is not an integer")
 
 
 def _first_outside(index: np.ndarray, highs) -> tuple | None:
@@ -152,12 +144,7 @@ class SparsityPattern(_FrozenArrays):
         tensor_support: Iterable[tuple[int, ...]],
         control_support: Iterable[tuple[int, int]],
     ) -> None:
-        if order < 2:
-            raise ValueError(f"pattern order must be >= 2, got {order}")
-        if dim < 1:
-            raise ValueError(f"pattern dimension must be >= 1, got {dim}")
-        if inputs < 1:
-            raise ValueError(f"pattern needs at least one input, got {inputs}")
+        check_shape(dim, order, inputs)
         tensor_index = _support_index(tensor_support, order, "multi-index")
         idx = _first_outside(tensor_index, dim)
         if idx is not None:
@@ -177,10 +164,10 @@ class SparsityPattern(_FrozenArrays):
         tensor_index: np.ndarray,
         control_index: np.ndarray,
     ) -> SparsityPattern:
-        """Wrap a support without checking it: ``tensor_index`` an (nnz,
-        order) and ``control_index`` a (c, 2) int64 array, each of distinct
-        rows in lexicographic order and in range.  The arrays are made
-        read-only, not copied."""
+        """Wrap a support without checking it: an even order, and
+        ``tensor_index`` an (nnz, order) and ``control_index`` a (c, 2) int64
+        array, each of distinct rows in lexicographic order and in range.
+        The arrays are made read-only, not copied."""
         return cls._wrap(order, dim, inputs, tensor_index, control_index)
 
     @property
@@ -232,13 +219,17 @@ def sample_coefficients(
     first, then control, and every value is bit-identical to drawing them
     one at a time from ``np.random.default_rng(seed)`` with
     ``integers(0, 2)`` for the sign (0 is negative) and
-    ``uniform(0.5, 2.0)`` for the magnitude.
+    ``uniform(0.5, 2.0)`` for the magnitude.  Raises CapacityError when
+    the control matrices hold more than ``DEFAULT_CAP`` cells.
     """
+    seeds = list(seeds)
+    cells = len(seeds) * pattern.dim * pattern.inputs
+    if cells > DEFAULT_CAP:
+        raise CapacityError(f"control matrices need {cells} cells, cap is {DEFAULT_CAP}")
     index, control = pattern.tensor_index, pattern.control_index
     nnz = len(index)
     count = nnz + len(control)
     pairs = (count + 1) // 2
-    seeds = list(seeds)
     # one row of [S, U0, U1] words per pair; an odd count leaves the last
     # U1 unread, as zero
     raw = np.zeros((len(seeds), pairs, 3), dtype=np.uint64)

@@ -18,9 +18,8 @@ with the leftmost Kronecker factor bound to tail mode 1.
 from __future__ import annotations
 
 import math
-import operator
 from collections import defaultdict
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Mapping
 
 import numpy as np
@@ -85,13 +84,27 @@ class _FrozenArrays:
         return self._wrap, self._fields()
 
 
+def _integer(value, idx: tuple, what: str) -> int:
+    """``value`` as an int, when it equals one."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} {idx} has entry {value!r}, which is not an integer")
+
+
 def _canonical_entries(order, dim, entries) -> tuple[np.ndarray, np.ndarray]:
-    """Check each entry in the order given; return the index and values
-    arrays, rows in lexicographic order."""
+    """Check each entry in the order given, every index entry first; return
+    the index and values arrays, rows in lexicographic order."""
     items = entries.items() if isinstance(entries, Mapping) else entries
+    items = [(tuple(index), value) for index, value in items]
+    if set(map(type, chain.from_iterable(idx for idx, _ in items))) - {int}:
+        items = [
+            (tuple(_integer(i, idx, "multi-index") for i in idx), value) for idx, value in items
+        ]
     out: dict[tuple[int, ...], float] = {}
-    for index, value in items:
-        idx = tuple(operator.index(i) for i in index)
+    for idx, value in items:
         if len(idx) != order:
             raise ValueError(f"multi-index {idx} has {len(idx)} modes, expected {order}")
         for i in idx:

@@ -519,6 +519,11 @@ def test_bad_tolerance_exit_code(tmp_path, capsys, tol):
     [
         ("dilation", "hypergraph 3000000000 1\n3 -> 1\n"),
         ("analyze", "tensor 2 3000000000\n1 2\nmatrix 3000000000 1\n1 1\n"),
+        # a dense control matrix, read with its values or drawn for a pattern
+        ("rank", "tensor 2 2\n1 2 1.0\nmatrix 2 9999999999999\n1 1 1.0\n"),
+        ("rank", "tensor 2 2\n1 2 1.0\nmatrix 2 99999999999999999999\n1 1 1.0\n"),
+        ("rank", "tensor 2 2\n1 2\nmatrix 2 9999999999999\n1 1\n"),
+        ("rank", "tensor 2 2\n1 2\nmatrix 2 99999999999999999999\n1 1\n"),
     ],
 )
 def test_huge_vertex_count_is_a_capacity_error(tmp_path, capsys, command, text):

@@ -55,3 +55,19 @@ def test_every_module_level_definition_is_exported_or_used():
             if node.name not in exported and uses[node.name] == own:
                 dead.append(f"{name}.{node.name}")
     assert dead == []
+
+
+def test_no_frozen_value_copies_the_value_machinery():
+    """Every ``_FrozenArrays`` form takes equality, hashing, immutability and
+    pickling from the base; none defines its own."""
+    for module in MODULES:
+        importlib.import_module(f"polyctrl.{module}")
+    forms, todo = [], [polyctrl.tensor._FrozenArrays]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        forms.extend(subclasses)
+        todo.extend(subclasses)
+    assert {"SparseTensor", "SparsityPattern", "DirectedHypergraph"} <= {c.__name__ for c in forms}
+    machinery = {"__eq__", "__hash__", "__setattr__", "__reduce__", "_key"}
+    copies = {c.__name__: sorted(machinery & vars(c).keys()) for c in forms}
+    assert copies == {c.__name__: [] for c in forms}

@@ -21,6 +21,7 @@ from polyctrl.formats import (
 from polyctrl.generate import random_pattern
 from polyctrl.hypergraph import DirectedHypergraph, Hyperedge, build_hypergraph
 from polyctrl.system import Polysystem, SparsityPattern, sparsity_pattern
+from polyctrl.tensor import CapacityError
 
 CUBIC_TEXT = "tensor 4 2\n1 1 1 2 1.0\nmatrix 2 1\n1 1 1.0\n"
 
@@ -446,7 +447,7 @@ def corpus_outcome(text):
     """The error's type and message, or the parsed object serialized."""
     try:
         return serialize(parse_input(text))
-    except ValueError as exc:
+    except (ValueError, CapacityError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -474,4 +475,4 @@ def test_mutated_corpus_outcomes_are_pinned():
     ]:
         assert any(fragment in outcome for outcome in outcomes), fragment
     digest = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
-    assert digest == "576118d5a6b3b4f26a5ad15f63338a6c5644045ac1beb38d3c9401173a592313"
+    assert digest == "37f371043152ff17b4d4172cd7baf7665ab3750828d8497aea95abcbd6f3cfbb"

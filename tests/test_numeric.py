@@ -399,9 +399,10 @@ def test_stack_cap_counts_every_member():
 
 
 def test_stack_refuses_an_odd_order():
-    pattern = SparsityPattern(3, 2, 1, {(1, 1, 2)}, {(1, 1)})
-    with pytest.raises(ValueError, match="invalid system: parity"):
-        realization_ranks(pattern, [0])
+    # the pattern refuses an odd order when built, so no stack receives one
+    with pytest.raises(ValueError) as info:
+        SparsityPattern(3, 2, 1, {(1, 1, 2)}, {(1, 1)})
+    assert str(info.value) == "tensor order k=3 is odd; the drift degree k-1 must be odd"
 
 
 # --- explicit controllability matrix ---

@@ -131,6 +131,9 @@ def test_pattern_refuses_an_entry_that_is_not_an_integer(entry, shown):
     with pytest.raises(ValueError) as info:
         SparsityPattern(2, 3, 1, [(1, 2)], [(1, entry)])
     assert str(info.value) == f"control index (1, {shown}) {refusal}"
+    with pytest.raises(ValueError) as info:
+        SparseTensor(2, 3, {(entry, 2): 1.0})
+    assert str(info.value) == f"multi-index ({shown}, 2) {refusal}"
 
 
 def test_pattern_from_index_equals_checked_pattern():

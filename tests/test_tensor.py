@@ -257,6 +257,7 @@ def test_equality_repr_pickle_and_deepcopy():
 def test_entries_normalize_integer_like_indices():
     tensor = SparseTensor(2, 2, {(np.int64(1), np.int64(2)): 3.0})
     assert tensor.entries == {(1, 2): 3.0}
+    assert SparseTensor(2, 2, {(1.0, 2): 3.0}) == SparseTensor(2, 2, {(1, 2): 3.0})
 
 
 def test_construction_rejects_bad_shapes():
