@@ -26,7 +26,7 @@ import numpy as np
 
 from .hypergraph import DirectedHypergraph
 from .system import Polysystem, SparsityPattern
-from .tensor import DEFAULT_CAP, CapacityError, SparseTensor
+from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, _first_outside
 
 __all__ = ["ParseError", "parse_hypergraph", "parse_input", "parse_system", "serialize"]
 
@@ -112,7 +112,7 @@ def _bulk_rows(block: str, highs: tuple[int, ...]) -> np.ndarray | None:
         return None
     if rows.shape[1] != len(highs):
         return None
-    if any(col.min() < 1 or col.max() > high for col, high in zip(rows.T, highs)):
+    if _first_outside(rows, highs) is not None:
         return None
     rows = rows[np.lexsort(rows.T[::-1])]
     if (rows[1:] == rows[:-1]).all(axis=1).any():
@@ -195,7 +195,7 @@ def _parse_lines(text: str) -> Polysystem | SparsityPattern:
         for (i, j), value in control.items():
             matrix[i - 1, j - 1] = value
         return Polysystem(SparseTensor(k, n, tensor), matrix)
-    return SparsityPattern(k, n, m, frozenset(tensor), frozenset(control))
+    return SparsityPattern(k, n, m, tensor, control)
 
 
 def _read_section(lines, line_no, names, highs, label, valued, stop=None):

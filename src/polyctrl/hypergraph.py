@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .system import SparsityPattern
-from .tensor import DEFAULT_CAP, CapacityError, _FrozenArrays
+from .tensor import DEFAULT_CAP, CapacityError, _FrozenArrays, _integer
 
 __all__ = [
     "DirectedHypergraph",
@@ -32,14 +32,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Hyperedge:
-    """Tail multiset (kept as a sorted tuple) and head set."""
+    """Tail multiset (kept as a sorted tuple) and head set.  Each vertex must
+    equal an int, by a pattern's index rule: ``1.5`` or ``'2'`` is refused."""
 
     tail: tuple[int, ...]
     head: frozenset[int]
 
     def __post_init__(self) -> None:
-        tail = tuple(sorted(int(v) for v in self.tail))
-        head = frozenset(int(v) for v in self.head)
+        tail, head = tuple(self.tail), tuple(self.head)
+        if set(map(type, tail + head)) - {int}:
+            tail = tuple(_integer(v, tail, "tail") for v in tail)
+            head = tuple(_integer(v, head, "head") for v in head)
+        tail, head = tuple(sorted(tail)), frozenset(head)
         if not tail:
             raise ValueError("hyperedge tail must be non-empty")
         if not head:

@@ -3,7 +3,8 @@
 A system pairs a k-mode coefficient tensor (the drift ``A x^(k-1)``) with a
 linear control matrix B.  A Polysystem checks itself when built and
 refuses invalid input, so no operation on one checks it again; a
-SparsityPattern's constructor checks its shape and its support.  The
+SparsityPattern's constructor checks its shape, and its support by the
+index rule of ``polyctrl.tensor`` that a tensor's keys follow too.  The
 structural layer works on sparsity patterns alone; ``sample_realization``
 turns a pattern back into a concrete system with coefficients bounded away
 from zero.
@@ -12,12 +13,12 @@ from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, _FrozenArrays, _integer
+from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, _FrozenArrays
+from .tensor import _first_outside, _support_index
 
 __all__ = [
     "Polysystem",
@@ -90,36 +91,6 @@ def check_shape(n: int, k: int, m: int) -> None:
         raise ValueError(f"tensor order k={k} is odd; the drift degree k-1 must be odd")
     if k < 2:
         raise ValueError(f"tensor order k must be >= 2, got {k}")
-
-
-def _support_index(support, width: int, what: str) -> np.ndarray:
-    """A support as an int64 array of shape (len(support), width):
-    its distinct rows in lexicographic order.
-
-    Every tuple must have ``width`` entries, each equal to an int (so
-    ``1.0``, ``True`` and numpy ints pass, ``1.5`` and ``'1'`` do not);
-    rows equal as ints are merged.
-    """
-    if not isinstance(support, (set, frozenset)):
-        support = set(map(tuple, support))
-    if set(map(len, support)) - {width}:
-        idx = next(idx for idx in support if len(idx) != width)
-        raise ValueError(f"{what} {idx} has {len(idx)} modes, expected {width}")
-    if set(map(type, chain.from_iterable(support))) - {int}:
-        support = {tuple(_integer(v, idx, what) for v in idx) for idx in support}
-    try:
-        index = np.fromiter(
-            chain.from_iterable(sorted(support)), dtype=np.int64, count=len(support) * width
-        )
-    except OverflowError:
-        raise ValueError(f"{what} entries outside the int64 range") from None
-    return index.reshape(len(support), width)
-
-
-def _first_outside(index: np.ndarray, highs) -> tuple | None:
-    """The first row with an entry outside [1, high] of its column, or None."""
-    bad = ((index < 1) | (index > highs)).any(axis=1)
-    return tuple(index[bad][0].tolist()) if bad.any() else None
 
 
 class SparsityPattern(_FrozenArrays):

@@ -5,10 +5,11 @@ n-dimensional tensor: entry (i1, ..., ik) contributes
 ``coeff * x_{i1} * ... * x_{i_{k-1}}`` to coordinate ik of the field value.
 Mode k is the head mode, modes 1..k-1 are tail modes.  A ``SparseTensor``
 holds the entries as two arrays, in the canonical form of a pattern's
-support, and ``contract`` and the rank iteration evaluate the field from
-them with one kernel.  The mode-k unfolding flattens the tail modes with
-mode 1 slowest-varying, which is exactly the ordering of an iterated
-Kronecker product, so
+support; this module's index rule (``_support_index``) reads the keys of
+both, and ``Hyperedge`` vertices by its integer test.  ``contract`` and the
+rank iteration evaluate the field with one kernel.  The mode-k unfolding
+flattens the tail modes with mode 1 slowest-varying, which is exactly the
+ordering of an iterated Kronecker product, so
 
     unfold(T) @ kron_power(x, k - 1) == contract(T, x)
 
@@ -17,8 +18,7 @@ with the leftmost Kronecker factor bound to tail mode 1.
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import chain, permutations
 from typing import Mapping
 
@@ -94,36 +94,33 @@ def _integer(value, idx: tuple, what: str) -> int:
     raise ValueError(f"{what} {idx} has entry {value!r}, which is not an integer")
 
 
-def _canonical_entries(order, dim, entries) -> tuple[np.ndarray, np.ndarray]:
-    """Check each entry in the order given, every index entry first; return
-    the index and values arrays, rows in lexicographic order."""
-    items = entries.items() if isinstance(entries, Mapping) else entries
-    items = [(tuple(index), value) for index, value in items]
-    if set(map(type, chain.from_iterable(idx for idx, _ in items))) - {int}:
-        items = [
-            (tuple(_integer(i, idx, "multi-index") for i in idx), value) for idx, value in items
-        ]
-    out: dict[tuple[int, ...], float] = {}
-    for idx, value in items:
-        if len(idx) != order:
-            raise ValueError(f"multi-index {idx} has {len(idx)} modes, expected {order}")
-        for i in idx:
-            if not 1 <= i <= dim:
-                raise ValueError(f"index {i} of multi-index {idx} outside [1, {dim}]")
-        coeff = float(value)
-        if not math.isfinite(coeff):
-            raise ValueError(f"non-finite coefficient {coeff} at {idx}")
-        if coeff == 0.0:
-            raise ValueError(f"exact-zero coefficient at {idx}: drop the entry instead")
-        if idx in out:
-            raise ValueError(f"duplicate multi-index {idx}")
-        out[idx] = coeff
-    rows = sorted(out.items())
+def _support_index(support, width: int, what: str) -> np.ndarray:
+    """A support as an int64 array of shape (len(support), width):
+    its distinct rows in lexicographic order.
+
+    Every tuple must have ``width`` entries, each equal to an int (so
+    ``1.0``, ``True`` and numpy ints pass, ``1.5``, ``'1'`` and ``[1]`` do
+    not), checked before any row is hashed; rows equal as ints are merged.
+    """
+    if not isinstance(support, (set, frozenset)):
+        support = list(map(tuple, support))
+    if set(map(len, support)) - {width}:
+        idx = next(idx for idx in support if len(idx) != width)
+        raise ValueError(f"{what} {idx} has {len(idx)} modes, expected {width}")
+    if set(map(type, chain.from_iterable(support))) - {int}:
+        support = [tuple(_integer(v, idx, what) for v in idx) for idx in support]
+    rows = sorted(set(support))
     try:
-        index = np.array([idx for idx, _ in rows], dtype=np.int64).reshape(len(rows), order)
+        index = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=len(rows) * width)
     except OverflowError:
-        raise ValueError("multi-index entries outside the int64 range") from None
-    return index, np.array([coeff for _, coeff in rows])
+        raise ValueError(f"{what} entries outside the int64 range") from None
+    return index.reshape(len(rows), width)
+
+
+def _first_outside(index: np.ndarray, highs) -> tuple | None:
+    """The first row with an entry outside [1, high] of its column, or None."""
+    bad = ((index < 1) | (index > highs)).any(axis=1)
+    return tuple(index[bad][0].tolist()) if bad.any() else None
 
 
 class SparseTensor(_FrozenArrays):
@@ -146,7 +143,25 @@ class SparseTensor(_FrozenArrays):
             raise ValueError(f"tensor order must be >= 2, got {order}")
         if dim < 1:
             raise ValueError(f"tensor dimension must be >= 1, got {dim}")
-        self._fill(order, dim, *_canonical_entries(order, dim, entries))
+        items = entries.items() if isinstance(entries, Mapping) else entries
+        items = [(tuple(idx), value) for idx, value in items]
+        index = _support_index([idx for idx, _ in items], order, "multi-index")
+        # every key passed the integer rule, so int() reads it exactly
+        keys = [tuple(map(int, idx)) for idx, _ in items]
+        if len(index) < len(keys):
+            raise ValueError(f"duplicate multi-index {Counter(keys).most_common(1)[0][0]}")
+        idx = _first_outside(index, dim)
+        if idx is not None:
+            raise ValueError(f"multi-index {idx} outside [1, {dim}]")
+        # the keys are distinct, so sorting never compares the items
+        values = np.array([float(value) for _, (_, value) in sorted(zip(keys, items))])
+        bad = ~np.isfinite(values) | (values == 0.0)
+        if bad.any():
+            idx, coeff = tuple(index[bad.argmax()].tolist()), values[bad.argmax()].item()
+            if coeff == 0.0:
+                raise ValueError(f"exact-zero coefficient at {idx}: drop the entry instead")
+            raise ValueError(f"non-finite coefficient {coeff} at {idx}")
+        self._fill(order, dim, index, values)
 
     @classmethod
     def from_arrays(

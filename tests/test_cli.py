@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from polyctrl.cli import build_parser, run
+from test_formats import mutated_corpus
 
 CUBIC_TEXT = "tensor 4 2\n1 1 1 2 1.0\nmatrix 2 1\n1 1 1.0\n"
 SHARED_TEXT = "tensor 4 2\nmatrix 2 1\n1 1 1.0\n2 1 1.0\n"
@@ -688,6 +690,52 @@ def test_closed_stdout_ends_quietly(tmp_path, capsys):
     assert proc.wait(timeout=60) == 0
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
+
+
+def mutated_hypergraph_texts(count=50, seed=14):
+    """``count`` valid hypergraph texts, each with one seeded fault: a bad
+    '->', an empty vertex group, or a vertex that is 0 or out of range."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        n, m = rng.randint(1, 4), rng.randint(0, 2)
+        tails = rng.sample(range(1, n + m + 1), rng.randint(1, n + m))
+        lines = [f"{t} -> {rng.randint(1, n)}" for t in tails]
+        at = rng.randrange(len(lines))
+        tail, head = lines[at].split(" -> ")
+        kind = rng.randrange(3)
+        if kind == 0:
+            faults = [f"{tail} {head}", f"{tail} -> -> {head}", f"{tail} - > {head}",
+                      f"{tail} => {head}", f"{tail} <- {head}"]
+        elif kind == 1:
+            faults = [f"-> {head}", f"{tail} ->", f", -> {head}", f"{tail} -> ,", "->"]
+        else:
+            bad = rng.choice(["0", "-1", str(n + 1), str(n + m + 1), "99999999999999999999"])
+            faults = [f"{bad} -> {head}", f"{tail} -> {bad}", f"{tail},{bad} -> {head}"]
+        lines[at] = rng.choice(faults)
+        texts.append(f"hypergraph {n} {m}\n" + "\n".join(lines) + "\n")
+    return texts
+
+
+def test_no_command_raises_on_mutated_input(monkeypatch, capsys):
+    # every input ends in exit 0, 2 or 3, never in a traceback
+    texts = mutated_corpus(200, seed=7) + mutated_hypergraph_texts()
+    # one parser serves every run: building it costs more than most runs
+    parser = build_parser()
+    monkeypatch.setattr("polyctrl.cli.build_parser", lambda: parser)
+    codes = set()
+    for text in texts:
+        for command in (["analyze", "--numeric"], ["dilation"], ["access"], ["rank"],
+                        ["lie-rank"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            try:
+                code = run([command[0], "-", "--json", *command[1:]])
+            except Exception as exc:
+                pytest.fail(f"{command} raised {exc!r} on {text!r}")
+            assert code in (0, 2, 3), (command, text)
+            codes.add(code)
+            capsys.readouterr()
+    assert codes >= {0, 2}
 
 
 def test_parser_rejects_unknown_command():

@@ -115,6 +115,10 @@ def test_hyperedge_sorts_tail_and_keeps_multiplicity():
     edge = Hyperedge((2, 1, 2), frozenset({1}))
     assert edge.tail == (1, 2, 2)
     assert edge.tail_support == frozenset({1, 2})
+    # vertices equal to ints are read as ints
+    edge = Hyperedge((2.0, np.int64(1), True), {np.int32(2), 1.0})
+    assert edge == Hyperedge((1, 1, 2), frozenset({1, 2}))
+    assert all(type(v) is int for v in (*edge.tail, *edge.head))
 
 
 def test_hyperedge_rejects_empty_parts():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import cubic_forward_system, linear_chain_system
 from polyctrl.formats import parse_system
 from polyctrl.generate import random_system_pattern
+from polyctrl.hypergraph import Hyperedge
 from polyctrl.system import (
     Polysystem,
     SparsityPattern,
@@ -120,10 +121,13 @@ def test_pattern_validation():
         (float("inf"), "inf"),
         (float("nan"), "nan"),
         (None, "None"),
+        ([1], "[1]"),
     ],
-    ids=["fraction", "numpy-fraction", "string", "inf", "nan", "none"],
+    ids=["fraction", "numpy-fraction", "string", "inf", "nan", "none", "unhashable"],
 )
 def test_pattern_refuses_an_entry_that_is_not_an_integer(entry, shown):
+    # one index rule for every form; rows and heads are passed as lists and
+    # tuples, so an unhashable entry reaches the check
     refusal = f"has entry {shown}, which is not an integer"
     with pytest.raises(ValueError) as info:
         SparsityPattern(2, 3, 1, [(entry, 2), (1, 1)], [(1, 1)])
@@ -132,8 +136,14 @@ def test_pattern_refuses_an_entry_that_is_not_an_integer(entry, shown):
         SparsityPattern(2, 3, 1, [(1, 2)], [(1, entry)])
     assert str(info.value) == f"control index (1, {shown}) {refusal}"
     with pytest.raises(ValueError) as info:
-        SparseTensor(2, 3, {(entry, 2): 1.0})
+        SparseTensor(2, 3, [((entry, 2), 1.0)])
     assert str(info.value) == f"multi-index ({shown}, 2) {refusal}"
+    with pytest.raises(ValueError) as info:
+        Hyperedge((entry,), {1})
+    assert str(info.value) == f"tail ({shown},) {refusal}"
+    with pytest.raises(ValueError) as info:
+        Hyperedge((1,), (entry,))
+    assert str(info.value) == f"head ({shown},) {refusal}"
 
 
 def test_pattern_from_index_equals_checked_pattern():

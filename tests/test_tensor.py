@@ -284,3 +284,12 @@ def test_construction_rejects_zero_and_duplicate():
         SparseTensor(2, 2, {(1, 2): 0.0})
     with pytest.raises(ValueError, match="duplicate"):
         SparseTensor(2, 2, [((1, 2), 1.0), ((1, 2), 2.0)])
+
+
+def test_construction_words_range_and_duplicates_as_a_pattern_does():
+    with pytest.raises(ValueError) as info:
+        SparseTensor(2, 2, {(1, 3): 1.0})
+    assert str(info.value) == "multi-index (1, 3) outside [1, 2]"
+    with pytest.raises(ValueError) as info:
+        SparseTensor(2, 2, [((1, 2), 1.0), ((1.0, 2), 2.0)])
+    assert str(info.value) == "duplicate multi-index (1, 2)"
