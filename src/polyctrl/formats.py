@@ -26,7 +26,7 @@ import numpy as np
 
 from .hypergraph import DirectedHypergraph
 from .system import Polysystem, SparsityPattern
-from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, _first_outside
+from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, _first_outside, _row_order
 
 __all__ = ["ParseError", "parse_hypergraph", "parse_input", "parse_system", "serialize"]
 
@@ -97,7 +97,7 @@ _BULK_BYTES = b"0123456789 \t\n"
 
 def _bulk_rows(block: str, highs: tuple[int, ...]) -> np.ndarray | None:
     """A section body read in one numpy pass: an int64 array with one row
-    per line, rows in lexicographic order, and column c in [1, highs[c]].
+    per line, column c in [1, highs[c]], rows ordered by ``_row_order``.
 
     None when the body holds anything but digits and blanks, a row of
     another length, an index out of range or a repeated row.
@@ -114,7 +114,7 @@ def _bulk_rows(block: str, highs: tuple[int, ...]) -> np.ndarray | None:
         return None
     if _first_outside(rows, highs) is not None:
         return None
-    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = rows[_row_order(rows)]
     if (rows[1:] == rows[:-1]).all(axis=1).any():
         return None
     return rows

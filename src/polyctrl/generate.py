@@ -2,7 +2,8 @@
 
 Every generator takes an integer seed and draws through a single
 ``numpy.random.Generator`` in a fixed order, so instances are reproducible
-bit for bit.
+bit for bit.  A pattern's supports are drawn in bulk, a round of rows per
+call, on the stream that one call per row would take.
 """
 
 from __future__ import annotations
@@ -22,18 +23,15 @@ __all__ = [
 ]
 
 
-def _draw_tensor_support(rng, n, k, count):
+def _draw_support(rng, highs, count):
+    """``count`` distinct rows with column c in [1, highs[c]].  Each round
+    draws all missing rows in one call, which takes the words one call per
+    row would, and no round overshoots, since a row adds at most one."""
     support: set[tuple[int, ...]] = set()
     while len(support) < count:
-        support.add(tuple(int(v) for v in rng.integers(1, n + 1, size=k)))
-    return frozenset(support)
-
-
-def _draw_control_support(rng, n, m, count):
-    support: set[tuple[int, int]] = set()
-    while len(support) < count:
-        support.add((int(rng.integers(1, n + 1)), int(rng.integers(1, m + 1))))
-    return frozenset(support)
+        rows = rng.integers(1, np.add(highs, 1), size=(count - len(support), len(highs)))
+        support.update(map(tuple, rows.tolist()))
+    return support
 
 
 def _within_index_space(count: int, n: int, k: int) -> bool:
@@ -64,8 +62,8 @@ def pattern_with_rng(
         order=k,
         dim=n,
         inputs=m,
-        tensor_support=_draw_tensor_support(rng, n, k, tensor_nnz),
-        control_support=_draw_control_support(rng, n, m, control_nnz),
+        tensor_support=_draw_support(rng, (n,) * k, tensor_nnz),
+        control_support=_draw_support(rng, (n, m), control_nnz),
     )
 
 

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .system import SparsityPattern
-from .tensor import DEFAULT_CAP, CapacityError, _FrozenArrays, _integer
+from .tensor import DEFAULT_CAP, CapacityError, _FrozenArrays, _integer, _row_order
 
 __all__ = [
     "DirectedHypergraph",
@@ -169,57 +169,43 @@ class DirectedHypergraph(_FrozenArrays):
         return frozenset(range(self.n + 1, self.n + self.m + 1))
 
 
-def _group_tensor(pattern: SparsityPattern) -> tuple[list[int], list[int], list[int]]:
-    """Group tensor entries into edges by sorted tail, in ascending (tail,
-    head) order.
-
-    Returns the edges' tails, flattened, and their heads in CSR form
-    (offsets, then indices).  A head repeated under one tail, which comes
-    from a permuted tail, appears once.
+def _group_rows(rows: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Group (tail..., head) int64 rows into edges by sorted tail, in
+    ascending (tail, head) order: the edges' tails, flattened, each edge's
+    start in the heads, and the heads.  A head repeated under one tail, which
+    comes from a permuted tail, appears once.
     """
-    # Sort each tail row, then the rows by (tail, head): entries of one tail
+    # Sort each tail row, then the rows by (tail, head): rows of one tail
     # multiset become adjacent, heads ascending.  An edge starts where the
     # tail changes; a row equal to the one before it is dropped.
-    rows = pattern.tensor_index.copy()
+    rows = rows.copy()
     rows[:, :-1].sort(axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = rows[_row_order(rows)]
     change = rows[1:] != rows[:-1]
     starts = np.ones(len(rows), dtype=bool)
     starts[1:] = change[:, :-1].any(axis=1)
     keep = starts.copy()
     keep[1:] |= change[:, -1]
-    head_idx = rows[keep, -1].tolist()
-    head_ptr = np.flatnonzero(starts[keep]).tolist()
-    head_ptr.append(len(head_idx))
-    return rows[starts, :-1].ravel().tolist(), head_ptr, head_idx
+    heads_ptr = np.flatnonzero(starts[keep]).tolist()
+    return rows[starts, :-1].ravel().tolist(), heads_ptr, rows[keep, -1].tolist()
 
 
 def build_hypergraph(pattern: SparsityPattern) -> DirectedHypergraph:
     """Group a pattern's support into hyperedges.
 
-    Control edges come first (by column), then tensor edges sorted by tail
-    multiset.  Tensor entries with the same tail multiset merge into a single
-    edge whose head collects their head indices.  The pattern is already
-    validated, so the grouped table is wrapped without further checks.
+    A control entry (i, j) is the row (n + j, i), so both sections group by
+    one rule: control edges come first (by column), then tensor edges sorted
+    by tail multiset, each collecting the heads of its entries.  The pattern
+    is already validated, so the table is wrapped without further checks.
     """
     n = pattern.dim
-    rows_by_column: dict[int, list[int]] = {}
-    # (row, column) pairs in lexicographic order: each column's rows ascend
-    for i, j in pattern.control_index.tolist():
-        rows_by_column.setdefault(j, []).append(i)
-    tail_ptr, tail_idx, head_ptr, head_idx = [0], [], [0], []
-    for j in sorted(rows_by_column):
-        tail_idx.append(n + j)
-        tail_ptr.append(len(tail_idx))
-        head_idx.extend(rows_by_column[j])
-        head_ptr.append(len(head_idx))
-
-    tails, heads_ptr, heads = _group_tensor(pattern)
-    width = pattern.order - 1
-    tail_ptr.extend(range(len(tail_idx) + width, len(tail_idx) + len(tails) + 1, width))
-    tail_idx.extend(tails)
-    head_ptr.extend(len(head_idx) + p for p in heads_ptr[1:])
-    head_idx.extend(heads)
-    return DirectedHypergraph.from_table(
-        n, pattern.inputs, tail_ptr, tail_idx, head_ptr, head_idx
-    )
+    tail_ptr, tail_idx, head_ptr, head_idx = [], [], [], []
+    for rows in (pattern.control_index[:, ::-1] + (n, 0), pattern.tensor_index):
+        tails, heads_ptr, heads = _group_rows(rows)
+        tail_ptr.extend(range(len(tail_idx), len(tail_idx) + len(tails), rows.shape[1] - 1))
+        tail_idx.extend(tails)
+        head_ptr.extend(len(head_idx) + p for p in heads_ptr)
+        head_idx.extend(heads)
+    tail_ptr.append(len(tail_idx))
+    head_ptr.append(len(head_idx))
+    return DirectedHypergraph.from_table(n, pattern.inputs, tail_ptr, tail_idx, head_ptr, head_idx)

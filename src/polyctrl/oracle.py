@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Mapping
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .hypergraph import DirectedHypergraph
 from .numeric import svd_rank
 from .system import Polysystem
-from .tensor import CapacityError
+from .tensor import CapacityError, _integer
 
 __all__ = [
     "AccessClosure",
@@ -84,7 +84,8 @@ class PolyVectorField:
 
     Coordinates are monomial maps; duplicate exponent maps merge on
     construction and zero coefficients are dropped, so equal fields compare
-    equal structurally.
+    equal structurally.  Each variable and exponent must equal an int, by a
+    pattern's index rule, and no exponent may be negative.
     """
 
     dim: int
@@ -101,6 +102,11 @@ class PolyVectorField:
         for poly in self.coords:
             merged: Polynomial = {}
             for key, coeff in poly.items():
+                # the index rule, behind an all-int fast path
+                if set(map(type, chain.from_iterable(key))) - {int}:
+                    key = tuple(tuple(_integer(v, key, "monomial") for v in pair) for pair in key)
+                if any(exp < 0 for _, exp in key):
+                    raise ValueError(f"negative exponent in monomial {key}")
                 norm = _canonical(key)
                 if any(not 1 <= var <= self.dim for var, _ in norm):
                     raise ValueError(f"variable out of range in monomial {norm}")

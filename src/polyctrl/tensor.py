@@ -6,8 +6,9 @@ n-dimensional tensor: entry (i1, ..., ik) contributes
 Mode k is the head mode, modes 1..k-1 are tail modes.  A ``SparseTensor``
 holds the entries as two arrays, in the canonical form of a pattern's
 support; this module's index rule (``_support_index``) reads the keys of
-both, and ``Hyperedge`` vertices by its integer test.  ``contract`` and the
-rank iteration evaluate the field with one kernel.  The mode-k unfolding
+both, and ``Hyperedge`` vertices by its integer test, and ``_row_order``
+orders every index array that numpy sorts.  ``contract`` and the rank
+iteration evaluate the field with one kernel.  The mode-k unfolding
 flattens the tail modes with mode 1 slowest-varying, which is exactly the
 ordering of an iterated Kronecker product, so
 
@@ -115,6 +116,14 @@ def _support_index(support, width: int, what: str) -> np.ndarray:
     except OverflowError:
         raise ValueError(f"{what} entries outside the int64 range") from None
     return index.reshape(len(rows), width)
+
+
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """The stable permutation that puts int64 rows in lexicographic order,
+    by one key per row: its bytes, big-endian with the sign bit flipped, so
+    that byte order is numeric order and no column needs a key of its own."""
+    key = (rows ^ np.int64(-1 << 63)).astype(">i8")
+    return key.view(f"V{8 * rows.shape[1]}").ravel().argsort(kind="stable")
 
 
 def _first_outside(index: np.ndarray, highs) -> tuple | None:

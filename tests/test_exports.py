@@ -71,3 +71,18 @@ def test_no_frozen_value_copies_the_value_machinery():
     machinery = {"__eq__", "__hash__", "__setattr__", "__reduce__", "_key"}
     copies = {c.__name__: sorted(machinery & vars(c).keys()) for c in forms}
     assert copies == {c.__name__: [] for c in forms}
+
+
+def test_one_routine_orders_index_rows():
+    """No module sorts rows with ``lexsort``; every numpy row order goes
+    through ``tensor._row_order``, defined there alone."""
+    source = Path(polyctrl.__file__).parent
+    calls, defined = [], []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "lexsort" in referenced_names(node.func):
+                calls.append(path.stem)
+            if isinstance(node, ast.FunctionDef) and node.name == "_row_order":
+                defined.append(path.stem)
+    assert calls == []
+    assert defined == ["tensor"]

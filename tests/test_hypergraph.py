@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,13 @@ def test_control_only_pattern():
     )
 
 
+def test_tensor_only_pattern():
+    pattern = SparsityPattern(2, 3, 2, frozenset({(2, 1), (1, 3), (2, 3)}), frozenset())
+    assert_matches_reference(pattern)
+    graph = build_hypergraph(pattern)
+    assert (graph.tail_ptr, graph.head_ptr) == ((0, 1, 2), (0, 1, 3))
+
+
 def test_permuted_tails_with_the_same_head_give_one_head():
     pattern = SparsityPattern(
         order=4,
@@ -264,6 +272,20 @@ def test_pattern_normalizes_index_types():
     pattern = SparsityPattern(2, 2, 1, [[np.int64(1), 2], (True, 2.0)], [(1, 1)])
     assert pattern.tensor_support == frozenset({(1, 2)})
     assert all(type(i) is int for i in next(iter(pattern.tensor_support)))
+
+
+def test_grouping_memory_does_not_grow_by_a_key_per_column():
+    """Two tensor rows of width k = 10^5 group in a few MB: the rows are
+    sorted by one key each, not by one sort key per column."""
+    pattern = random_pattern(3, 100_000, 1, 2, 1, 9191)
+    tracemalloc.start()
+    try:
+        graph = build_hypergraph(pattern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.edges) == 3
+    assert peak < 32 * 2**20
 
 
 def test_len_of_edges_does_not_build_hyperedges():

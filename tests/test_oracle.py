@@ -148,6 +148,27 @@ def test_field_validation():
         PolyVectorField(2, ({((3, 1),): 1.0}, {}))
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        (((1.5, 2),), "monomial ((1.5, 2),) has entry 1.5, which is not an integer"),
+        (((2, 2.7),), "monomial ((2, 2.7),) has entry 2.7, which is not an integer"),
+        ((("1", 2),), "monomial (('1', 2),) has entry '1', which is not an integer"),
+        (((1, -1),), "negative exponent in monomial ((1, -1),)"),
+    ],
+)
+def test_field_keys_follow_the_index_rule(key, message):
+    with pytest.raises(ValueError) as info:
+        PolyVectorField(2, ({key: 1.0}, {}))
+    assert str(info.value) == message
+
+
+def test_field_keys_normalize_integer_like_entries():
+    field = PolyVectorField(2, ({((1, 2),): 1.0}, {}))
+    for key in (((1.0, 2),), ((True, 2),), ((np.int64(1), 2.0),)):
+        assert PolyVectorField(2, ({key: 1.0}, {})) == field
+
+
 # --- Lie rank at the origin ---
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import cubic_forward_system, linear_chain_system
 from polyctrl.formats import parse_system
-from polyctrl.generate import random_system_pattern
+from polyctrl.generate import _draw_support, random_pattern, random_system_pattern
 from polyctrl.hypergraph import Hyperedge
 from polyctrl.system import (
     Polysystem,
@@ -300,6 +300,37 @@ def test_bulk_draw_is_bit_identical_to_the_scalar_draw():
         empty_tensor += not entries
     assert counts == set(range(26))
     assert empty_tensor > 100
+
+
+def scalar_support(rng, n, k, m, tensor_nnz, control_nnz):
+    """Reference support draw, one row at a time: ``integers(1, n + 1,
+    size=k)`` per tensor row, then two scalar calls per control entry, each
+    loop until it holds the asked number of distinct rows."""
+    tensor: set[tuple[int, ...]] = set()
+    while len(tensor) < tensor_nnz:
+        tensor.add(tuple(int(v) for v in rng.integers(1, n + 1, size=k)))
+    control: set[tuple[int, int]] = set()
+    while len(control) < control_nnz:
+        control.add((int(rng.integers(1, n + 1)), int(rng.integers(1, m + 1))))
+    return tensor, control
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(6, 4, 2, 6, 3), (40, 2, 3, 40, 3), (5, 4, 2, 30, 10), (3000, 4, 3, 9000, 3),
+     (50, 4, 3, 0, 5), (50, 2, 5, 60, 0)],
+)
+def test_bulk_support_draw_keeps_the_scalar_stream(shape):
+    n, k, m, tensor_nnz, control_nnz = shape
+    for seed in range(50):
+        reference = np.random.default_rng(seed)
+        tensor, control = scalar_support(reference, *shape)
+        pattern = random_pattern(*shape, seed)
+        assert pattern.tensor_support == tensor and pattern.control_support == control, seed
+        rng = np.random.default_rng(seed)
+        _draw_support(rng, (n,) * k, tensor_nnz)
+        _draw_support(rng, (n, m), control_nnz)
+        assert rng.random() == reference.random(), seed
 
 
 def test_sample_coefficients_stacks_one_draw_per_seed():

@@ -16,6 +16,7 @@ from polyctrl.tensor import (
     SparseTensor,
     contract,
     kron_power,
+    _row_order,
     symmetrize,
     unfold,
 )
@@ -293,3 +294,22 @@ def test_construction_words_range_and_duplicates_as_a_pattern_does():
     with pytest.raises(ValueError) as info:
         SparseTensor(2, 2, [((1, 2), 1.0), ((1.0, 2), 2.0)])
     assert str(info.value) == "duplicate multi-index (1, 2)"
+
+
+# --- the row order ---
+
+
+def test_row_order_is_the_stable_lexicographic_order():
+    rng = np.random.default_rng(17)
+    extremes = np.array([np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max])
+    for trial in range(600):
+        # one to six columns; the first six trials have no rows
+        width, count = 1 + trial % 6, int(rng.integers(1, 40)) if trial >= 6 else 0
+        if trial % 3 == 0:
+            rows = rng.choice(extremes, size=(count, width))
+        else:
+            # a narrow range gives many ties and equal rows
+            rows = rng.integers(-3, 4, size=(count, width))
+        if trial % 4 == 1:
+            rows = rows[:, ::-1]
+        assert _row_order(rows).tolist() == np.lexsort(rows.T[::-1]).tolist(), trial
