@@ -8,11 +8,13 @@ call, on the stream that one call per row would take.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .hypergraph import DirectedHypergraph, Hyperedge
 from .system import SparsityPattern, check_shape
-from .tensor import DEFAULT_CAP, CapacityError
+from .tensor import DEFAULT_CAP, CapacityError, _row_order
 
 __all__ = [
     "pattern_of_shape",
@@ -23,15 +25,19 @@ __all__ = [
 ]
 
 
-def _draw_support(rng, highs, count):
-    """``count`` distinct rows with column c in [1, highs[c]].  Each round
-    draws all missing rows in one call, which takes the words one call per
-    row would, and no round overshoots, since a row adds at most one."""
+def _draw_support(rng, highs, count) -> np.ndarray:
+    """``count`` distinct rows with column c in [1, highs[c]], as an int64
+    array in lexicographic order.  Each round draws all missing rows in one
+    call, which takes the words one call per row would, and no round
+    overshoots, since a row adds at most one."""
     support: set[tuple[int, ...]] = set()
     while len(support) < count:
         rows = rng.integers(1, np.add(highs, 1), size=(count - len(support), len(highs)))
         support.update(map(tuple, rows.tolist()))
-    return support
+    width = len(highs)
+    rows = np.fromiter(chain.from_iterable(support), dtype=np.int64, count=count * width)
+    rows = rows.reshape(count, width)
+    return rows[_row_order(rows)]
 
 
 def _within_index_space(count: int, n: int, k: int) -> bool:
@@ -48,7 +54,7 @@ def pattern_with_rng(
         raise ValueError(
             f"support sizes must be >= 0, got tensor {tensor_nnz} and control {control_nnz}"
         )
-    # refused before the first draw, as the graph build would refuse them
+    # refused before the first draw; a graph refuses from a lower count on
     if n + m > DEFAULT_CAP:
         raise CapacityError(f"pattern has {n + m} vertices, cap is {DEFAULT_CAP}")
     cells = tensor_nnz * k + control_nnz * 2
@@ -58,13 +64,10 @@ def pattern_with_rng(
         raise ValueError(f"tensor support {tensor_nnz} exceeds index space {n ** k}")
     if control_nnz > n * m:
         raise ValueError(f"control support {control_nnz} exceeds index space {n * m}")
-    return SparsityPattern(
-        order=k,
-        dim=n,
-        inputs=m,
-        tensor_support=_draw_support(rng, (n,) * k, tensor_nnz),
-        control_support=_draw_support(rng, (n, m), control_nnz),
-    )
+    # the guards above fixed the shape, the counts and the ranges
+    tensor_index = _draw_support(rng, (n,) * k, tensor_nnz)
+    control_index = _draw_support(rng, (n, m), control_nnz)
+    return SparsityPattern.from_index(k, n, m, tensor_index, control_index)
 
 
 def random_pattern(

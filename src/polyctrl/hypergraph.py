@@ -15,7 +15,6 @@ over these tuples directly; ``edges`` reads them back as ``Hyperedge``s.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -29,27 +28,29 @@ __all__ = [
     "build_hypergraph",
 ]
 
+# Cells of 8 bytes that analyzing a graph holds per vertex: the per-vertex
+# lists of matching and firing, the vertex sets and the sorted report.
+# ``analyze --json`` peaks at about 360 bytes a vertex, so at 448 bytes the
+# largest admitted graph, 1,198,372 vertices, analyzes in under 512 MiB.
+_VERTEX_CELLS = 56
 
-@dataclass(frozen=True)
-class Hyperedge:
+
+class Hyperedge(_FrozenArrays):
     """Tail multiset (kept as a sorted tuple) and head set.  Each vertex must
     equal an int, by a pattern's index rule: ``1.5`` or ``'2'`` is refused."""
 
-    tail: tuple[int, ...]
-    head: frozenset[int]
+    __slots__ = ("tail", "head")
 
-    def __post_init__(self) -> None:
-        tail, head = tuple(self.tail), tuple(self.head)
+    def __init__(self, tail: Iterable[int], head: Iterable[int]) -> None:
+        tail, head = tuple(tail), tuple(head)
         if set(map(type, tail + head)) - {int}:
             tail = tuple(_integer(v, tail, "tail") for v in tail)
             head = tuple(_integer(v, head, "head") for v in head)
-        tail, head = tuple(sorted(tail)), frozenset(head)
         if not tail:
             raise ValueError("hyperedge tail must be non-empty")
         if not head:
             raise ValueError("hyperedge head must be non-empty")
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "head", head)
+        self._fill(tuple(sorted(tail)), frozenset(head))
 
     @property
     def tail_support(self) -> frozenset[int]:
@@ -74,7 +75,7 @@ class _EdgeView(Sequence):
         if self._items is None:
             tp, ti, hp, hi = self._table
             self._items = tuple(
-                Hyperedge(ti[tp[e]:tp[e + 1]], frozenset(hi[hp[e]:hp[e + 1]]))
+                Hyperedge._wrap(ti[tp[e]:tp[e + 1]], frozenset(hi[hp[e]:hp[e + 1]]))
                 for e in range(len(tp) - 1)
             )
         return self._items
@@ -143,9 +144,11 @@ class DirectedHypergraph(_FrozenArrays):
         return cls._wrap(n, m, tail_ptr, tail_idx, head_ptr, head_idx)
 
     def _fill(self, n, m, tail_ptr, tail_idx, head_ptr, head_idx, edges=None) -> None:
-        # the structural algorithms keep tables with one slot per vertex
-        if n + m > DEFAULT_CAP:
-            raise CapacityError(f"graph has {n + m} vertices, cap is {DEFAULT_CAP}")
+        cells = (n + m) * _VERTEX_CELLS
+        if cells > DEFAULT_CAP:
+            raise CapacityError(
+                f"graph has {n + m} vertices, which need {cells} cells, cap is {DEFAULT_CAP}"
+            )
         # A graph built from Hyperedges keeps their tuple as ``edges``; one
         # built from a table reads its Hyperedges back only when asked.
         table = (tuple(tail_ptr), tuple(tail_idx), tuple(head_ptr), tuple(head_idx))

@@ -45,13 +45,13 @@ only serves as a desk-scale oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .system import Polysystem, SparsityPattern, sample_coefficients
-from .tensor import DEFAULT_CAP, CapacityError, _field, kron_power, symmetrize, unfold
+from .tensor import DEFAULT_CAP, CapacityError, kron_power, symmetrize, unfold
+from .tensor import _FrozenArrays, _field
 
 __all__ = [
     "RankReport",
@@ -171,13 +171,8 @@ def _reduce(
     return results
 
 
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-    n: int
-    strongly_controllable: bool
-    iterations: int
-    tolerance: float
+class RankReport(_FrozenArrays):
+    __slots__ = ("rank", "n", "strongly_controllable", "iterations", "tolerance")
 
 
 def _reports(n: int, results: list[tuple[int, int, float]]) -> list[RankReport]:

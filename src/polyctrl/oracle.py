@@ -10,7 +10,6 @@ linear case.  All of it is deliberately desk-scale and guarded.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement
@@ -21,7 +20,7 @@ import numpy as np
 from .hypergraph import DirectedHypergraph
 from .numeric import svd_rank
 from .system import Polysystem
-from .tensor import CapacityError, _integer
+from .tensor import CapacityError, _FrozenArrays, _integer
 
 __all__ = [
     "AccessClosure",
@@ -78,8 +77,7 @@ def _poly_diff(poly: Polynomial, var: int) -> Polynomial:
     return out
 
 
-@dataclass(frozen=True)
-class PolyVectorField:
+class PolyVectorField(_FrozenArrays):
     """Vector field with polynomial coordinates over variables 1..dim.
 
     Coordinates are monomial maps; duplicate exponent maps merge on
@@ -88,18 +86,15 @@ class PolyVectorField:
     pattern's index rule, and no exponent may be negative.
     """
 
-    dim: int
-    coords: tuple[Mapping[Powers, float], ...]
+    __slots__ = ("dim", "coords")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"field dimension must be >= 1, got {self.dim}")
-        if len(self.coords) != self.dim:
-            raise ValueError(
-                f"expected {self.dim} coordinates, got {len(self.coords)}"
-            )
+    def __init__(self, dim: int, coords: tuple[Mapping[Powers, float], ...]) -> None:
+        if dim < 1:
+            raise ValueError(f"field dimension must be >= 1, got {dim}")
+        if len(coords) != dim:
+            raise ValueError(f"expected {dim} coordinates, got {len(coords)}")
         cleaned = []
-        for poly in self.coords:
+        for poly in coords:
             merged: Polynomial = {}
             for key, coeff in poly.items():
                 # the index rule, behind an all-int fast path
@@ -108,11 +103,11 @@ class PolyVectorField:
                 if any(exp < 0 for _, exp in key):
                     raise ValueError(f"negative exponent in monomial {key}")
                 norm = _canonical(key)
-                if any(not 1 <= var <= self.dim for var, _ in norm):
+                if any(not 1 <= var <= dim for var, _ in norm):
                     raise ValueError(f"variable out of range in monomial {norm}")
                 _poly_add(merged, norm, float(coeff))
             cleaned.append(merged)
-        object.__setattr__(self, "coords", tuple(cleaned))
+        self._fill(dim, tuple(cleaned))
 
     def is_zero(self) -> bool:
         return all(not poly for poly in self.coords)
@@ -387,8 +382,7 @@ def brute_force_dilation(
     return False, None
 
 
-@dataclass(frozen=True)
-class AccessClosure:
+class AccessClosure(_FrozenArrays):
     """Family of vertex sets reachable by grouped firings.
 
     ``individually_accessible`` lists the state vertices isolated as
@@ -396,9 +390,7 @@ class AccessClosure:
     reaching a fixed point, never silently.
     """
 
-    sets: frozenset[frozenset[int]]
-    individually_accessible: frozenset[int]
-    truncated: bool
+    __slots__ = ("sets", "individually_accessible", "truncated")
 
 
 def _set_order(s: frozenset[int]) -> tuple[int, tuple[int, ...]]:
@@ -474,11 +466,7 @@ def individual_accessibility_closure(
     singles = frozenset(
         v for v in graph.state_vertices if frozenset({v}) in family
     )
-    return AccessClosure(
-        sets=frozenset(family),
-        individually_accessible=singles,
-        truncated=truncated,
-    )
+    return AccessClosure(frozenset(family), singles, truncated)
 
 
 def kalman_rank(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> int:

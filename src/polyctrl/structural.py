@@ -10,12 +10,12 @@ neither occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
 from .hypergraph import DirectedHypergraph, build_hypergraph
 from .numeric import realization_ranks
 from .system import SparsityPattern
+from .tensor import _FrozenArrays
 
 __all__ = [
     "DilationResult",
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DilationResult:
+class DilationResult(_FrozenArrays):
     """Outcome of the matching-based dilation test.
 
     ``matching`` pairs (edge index, state vertex); ``witness`` is a state
@@ -37,9 +36,7 @@ class DilationResult:
     when ``dilated``.
     """
 
-    dilated: bool
-    witness: frozenset[int] | None
-    matching: tuple[tuple[int, int], ...]
+    __slots__ = ("dilated", "witness", "matching")
 
 
 def detect_dilation(graph: DirectedHypergraph) -> DilationResult:
@@ -170,14 +167,10 @@ def accessible_set(graph: DirectedHypergraph) -> frozenset[int]:
     return frozenset(accessible)
 
 
-@dataclass(frozen=True)
-class StructuralVerdict:
+class StructuralVerdict(_FrozenArrays):
     """Combined verdict; controllable iff no witness and nothing inaccessible."""
 
-    controllable: bool
-    dilation_witness: frozenset[int] | None
-    inaccessible: frozenset[int]
-    matching: tuple[tuple[int, int], ...]
+    __slots__ = ("controllable", "dilation_witness", "inaccessible", "matching")
 
     @property
     def dilated(self) -> bool:
@@ -188,12 +181,8 @@ def analyze_hypergraph(graph: DirectedHypergraph) -> StructuralVerdict:
     """Run both structural tests; a system can fail both at once."""
     dilation = detect_dilation(graph)
     inaccessible = graph.state_vertices - accessible_set(graph)
-    return StructuralVerdict(
-        controllable=not dilation.dilated and not inaccessible,
-        dilation_witness=dilation.witness,
-        inaccessible=inaccessible,
-        matching=dilation.matching,
-    )
+    controllable = not dilation.dilated and not inaccessible
+    return StructuralVerdict(controllable, dilation.witness, inaccessible, dilation.matching)
 
 
 def structural_verdict(pattern: SparsityPattern) -> StructuralVerdict:

@@ -12,7 +12,6 @@ from zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -30,35 +29,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Polysystem:
+class Polysystem(_FrozenArrays):
     """Coefficient tensor plus control matrix, a 1-D control read as one column.
 
     Construction raises ``ValueError("invalid system: ...")`` naming every
     violation: an odd tensor order, or a control matrix that is not 2-D,
     lacks one row per coordinate or a column, or has non-finite entries.
+    ``control`` is a read-only float64 copy, compared by value as the tensor is.
     """
 
-    tensor: SparseTensor
-    control: np.ndarray
+    __slots__ = ("tensor", "control")
 
-    def __post_init__(self) -> None:
-        b = np.array(self.control, dtype=float)
+    def __init__(self, tensor: SparseTensor, control) -> None:
+        b = np.array(control, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
-        b.setflags(write=False)
-        object.__setattr__(self, "control", b)
         violations = []
-        if self.order % 2 != 0:
+        if tensor.order % 2 != 0:
             violations.append(
-                f"parity: tensor order k={self.order} is odd, so the drift degree k-1 is not odd"
+                f"parity: tensor order k={tensor.order} is odd, so the drift degree k-1 is not odd"
             )
         if b.ndim != 2:
             violations.append(f"shape: control matrix has {b.ndim} axes")
         else:
-            if len(b) != self.dim:
+            if len(b) != tensor.dim:
                 violations.append(
-                    f"dimension: control matrix has {len(b)} rows, tensor dimension is {self.dim}"
+                    f"dimension: control matrix has {len(b)} rows, tensor dimension is {tensor.dim}"
                 )
             if b.shape[1] < 1:
                 violations.append("dimension: control matrix needs at least one column")
@@ -66,6 +62,7 @@ class Polysystem:
                 violations.append("value: control matrix has non-finite entries")
         if violations:
             raise ValueError("invalid system: " + "; ".join(violations))
+        self._fill(tensor, b)
 
     @property
     def order(self) -> int:

@@ -46,11 +46,21 @@ class CapacityError(Exception):
 
 class _FrozenArrays:
     """Immutable holder of the fields named by ``__slots__``, some of them
-    read-only arrays in a canonical form.  Equality and hashing compare the
-    arrays' bytes, which for canonical arrays is equality of content, and
-    pickling rebuilds through ``_wrap``, unchecked."""
+    read-only arrays in a canonical form.  The constructor takes the fields
+    by position; a subclass that checks them does so in its own ``__init__``
+    and ends in ``_fill``.  Equality and hashing compare the arrays' bytes,
+    which for canonical arrays is equality of content, and pickling rebuilds
+    through ``_wrap``, unchecked."""
 
     __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        if len(fields) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__}() takes {len(self.__slots__)} positional "
+                f"arguments ({', '.join(self.__slots__)}) but {len(fields)} were given"
+            )
+        self._fill(*fields)
 
     @classmethod
     def _wrap(cls, *fields):
@@ -83,6 +93,10 @@ class _FrozenArrays:
 
     def __reduce__(self):
         return self._wrap, self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def _integer(value, idx: tuple, what: str) -> int:

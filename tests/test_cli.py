@@ -520,6 +520,8 @@ def test_bad_tolerance_exit_code(tmp_path, capsys, tol):
     "command, text",
     [
         ("dilation", "hypergraph 3000000000 1\n3 -> 1\n"),
+        # one vertex above the count whose tables fit the cap
+        ("analyze", "hypergraph 1198372 1\n1198373 -> 1\n"),
         ("analyze", "tensor 2 3000000000\n1 2\nmatrix 3000000000 1\n1 1\n"),
         # a dense control matrix, read with its values or drawn for a pattern
         ("rank", "tensor 2 2\n1 2 1.0\nmatrix 2 9999999999999\n1 1 1.0\n"),

@@ -1,8 +1,11 @@
 """Every exported name resolves, in the package and in each of its modules,
-and every module-level definition is exported or used."""
+every module-level definition is exported or used, and every value the
+package returns shares one base."""
 
 import ast
+import copy
 import importlib
+import pickle
 import pkgutil
 from collections import Counter
 from itertools import chain
@@ -11,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import polyctrl
+from polyctrl import numeric, oracle, structural
+from polyctrl.formats import parse_input
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(polyctrl.__path__))
 
@@ -67,10 +72,86 @@ def test_no_frozen_value_copies_the_value_machinery():
         subclasses = todo.pop().__subclasses__()
         forms.extend(subclasses)
         todo.extend(subclasses)
-    assert {"SparseTensor", "SparsityPattern", "DirectedHypergraph"} <= {c.__name__ for c in forms}
+    assert {c.__name__ for c in forms} == {
+        "SparseTensor",
+        "SparsityPattern",
+        "DirectedHypergraph",
+        "Hyperedge",
+        "Polysystem",
+        "DilationResult",
+        "StructuralVerdict",
+        "RankReport",
+        "PolyVectorField",
+        "AccessClosure",
+    }
     machinery = {"__eq__", "__hash__", "__setattr__", "__reduce__", "_key"}
     copies = {c.__name__: sorted(machinery & vars(c).keys()) for c in forms}
     assert copies == {c.__name__: [] for c in forms}
+
+
+def test_no_module_imports_dataclasses():
+    """Every value of the package is a ``_FrozenArrays``; none is a dataclass."""
+    source = Path(polyctrl.__file__).parent
+    users = [
+        path.stem
+        for path in sorted(source.glob("*.py"))
+        if {"dataclass", "dataclasses"} & set(referenced_names(ast.parse(path.read_text())))
+    ]
+    assert users == []
+
+
+GRAPH_TEXT = "hypergraph 3 1\n4 -> 1\n1 -> 2\n2,2 -> 1,2\n"
+CUBIC_TEXT = "tensor 4 2\n1 1 1 2 1.0\nmatrix 2 1\n1 1 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (
+            lambda: structural.detect_dilation(parse_input(GRAPH_TEXT)),
+            "DilationResult(dilated=True, witness=frozenset({3}), matching=((0, 1), (1, 2)))",
+        ),
+        (
+            lambda: structural.analyze_hypergraph(parse_input(GRAPH_TEXT)),
+            "StructuralVerdict(controllable=False, dilation_witness=frozenset({3}), "
+            "inaccessible=frozenset({3}), matching=((0, 1), (1, 2)))",
+        ),
+        (
+            lambda: numeric.strong_controllability(parse_input(CUBIC_TEXT)),
+            "RankReport(rank=2, n=2, strongly_controllable=True, iterations=1, "
+            "tolerance=4.440892098500626e-16)",
+        ),
+        (
+            lambda: oracle.field_from_polysystem(parse_input(CUBIC_TEXT))[0],
+            "PolyVectorField(dim=2, coords=({}, {((1, 3),): 1.0}))",
+        ),
+        (
+            lambda: oracle.individual_accessibility_closure(
+                parse_input("hypergraph 1 1\n2 -> 1\n")
+            ),
+            "AccessClosure(sets=frozenset({frozenset({2}), frozenset({1}), frozenset({1, 2})}), "
+            "individually_accessible=frozenset({1}), truncated=False)",
+        ),
+        (
+            lambda: parse_input(GRAPH_TEXT).edges[2],
+            "Hyperedge(tail=(2, 2), head=frozenset({1, 2}))",
+        ),
+        (
+            lambda: parse_input(CUBIC_TEXT),
+            "Polysystem(tensor=SparseTensor(order=4, dim=2, entries={(1, 1, 1, 2): 1.0}), "
+            "control=array([[1.],\n       [0.]]))",
+        ),
+    ],
+)
+def test_every_value_keeps_its_repr_and_survives_pickle_and_deepcopy(build, text):
+    value = build()
+    assert repr(value) == text
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(clone) is type(value) and clone == value and clone is not value
+    with pytest.raises(AttributeError, match="immutable"):
+        value.dim = 0
+    with pytest.raises(TypeError, match="positional arguments"):
+        type(value)(*range(len(value.__slots__) + 1))
 
 
 def test_one_routine_orders_index_rows():

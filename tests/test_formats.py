@@ -26,20 +26,13 @@ from polyctrl.tensor import CapacityError
 CUBIC_TEXT = "tensor 4 2\n1 1 1 2 1.0\nmatrix 2 1\n1 1 1.0\n"
 
 
-def assert_systems_equal(a: Polysystem, b: Polysystem) -> None:
-    assert a.tensor.order == b.tensor.order
-    assert a.tensor.dim == b.tensor.dim
-    assert a.tensor.entries == b.tensor.entries
-    assert np.array_equal(a.control, b.control)
-
-
 # --- system parsing ---
 
 
 def test_parse_valued_system():
     parsed = parse_system(CUBIC_TEXT)
     assert isinstance(parsed, Polysystem)
-    assert_systems_equal(parsed, cubic_forward_system())
+    assert parsed == cubic_forward_system()
 
 
 def test_parse_pattern_without_values():
@@ -51,12 +44,12 @@ def test_parse_pattern_without_values():
 def test_parse_empty_tensor_section():
     parsed = parse_system("tensor 4 2\nmatrix 2 1\n1 1 1.0\n2 1 1.0\n")
     assert isinstance(parsed, Polysystem)
-    assert_systems_equal(parsed, shared_input_system())
+    assert parsed == shared_input_system()
 
 
 def test_comments_and_blank_lines_are_ignored():
     text = "# cubic chain\n\ntensor 4 2\n\n1 1 1 2 1.0\n# done\nmatrix 2 1\n1 1 1.0\n"
-    assert_systems_equal(parse_system(text), cubic_forward_system())
+    assert parse_system(text) == cubic_forward_system()
 
 
 def test_parse_reports_line_numbers():
@@ -318,7 +311,11 @@ def test_hypergraph_duplicate_tail_reports_first_line():
 
 
 def test_parse_input_dispatch():
-    assert isinstance(parse_input(CUBIC_TEXT), Polysystem)
+    system = parse_input(CUBIC_TEXT)
+    assert isinstance(system, Polysystem)
+    # a system is a value: two parses are equal and hash alike
+    again = parse_input(CUBIC_TEXT)
+    assert system == again and hash(system) == hash(again)
     assert isinstance(parse_input("hypergraph 2 1\n3 -> 1\n"), DirectedHypergraph)
     with pytest.raises(ParseError, match="unknown header"):
         parse_input("graph 2 1\n")
@@ -334,7 +331,7 @@ def test_serialize_system_round_trip():
     text = serialize(system)
     assert text.endswith("\n")
     assert text == CUBIC_TEXT
-    assert_systems_equal(parse_system(text), system)
+    assert parse_system(text) == system
 
 
 def test_serialize_pattern_round_trip():
@@ -367,7 +364,7 @@ def test_sampled_system_round_trip_is_exact(seed):
     from polyctrl.system import sample_realization
 
     system = sample_realization(random_pattern(3, 4, 2, 4, 3, seed), seed)
-    assert_systems_equal(parse_system(serialize(system)), system)
+    assert parse_system(serialize(system)) == system
 
 
 # --- a seeded corpus of mutated texts, pinned by one digest ---
