@@ -155,15 +155,9 @@ def _rank_section(rank, seed: int | None) -> dict:
     }
 
 
-def _report(args, obj, **fields) -> int:
-    """Emit the report of an input command: the common header, then ``fields``."""
-    report = {
-        "format_version": FORMAT_VERSION,
-        "command": args.command,
-        "input": _input_section(obj),
-        **fields,
-    }
-    _emit(report, args)
+def _report(args, **fields) -> int:
+    """Emit a command's report: the common header, then ``fields``."""
+    _emit({"format_version": FORMAT_VERSION, "command": args.command, **fields}, args)
     return 0
 
 
@@ -180,7 +174,7 @@ def _cmd_analyze(args) -> int:
         fields["numeric"] = _rank_section(rank, seed)
     if args.timings:
         fields["timings_ms"] = phases
-    return _report(args, obj, **fields)
+    return _report(args, input=_input_section(obj), **fields)
 
 
 def _cmd_dilation(args) -> int:
@@ -188,7 +182,7 @@ def _cmd_dilation(args) -> int:
     result = detect_dilation(_graph(obj))
     return _report(
         args,
-        obj,
+        input=_input_section(obj),
         dilated=result.dilated,
         witness=sorted(result.witness) if result.witness is not None else None,
         matching=[list(pair) for pair in result.matching],
@@ -201,7 +195,7 @@ def _cmd_access(args) -> int:
     accessible = accessible_set(graph)
     return _report(
         args,
-        obj,
+        input=_input_section(obj),
         accessible=sorted(accessible),
         inaccessible=sorted(graph.state_vertices - accessible),
     )
@@ -211,7 +205,7 @@ def _cmd_rank(args) -> int:
     obj = _load(args)
     system, seed = _system(obj, args)
     rank = strong_controllability(system, tol=args.tol, cap=args.cap)
-    return _report(args, obj, **_rank_section(rank, seed))
+    return _report(args, input=_input_section(obj), **_rank_section(rank, seed))
 
 
 def _cmd_lie_rank(args) -> int:
@@ -220,7 +214,7 @@ def _cmd_lie_rank(args) -> int:
     rank, saturated = lie_algebra_rank_at_origin(system, depth_cap=args.depth_cap)
     return _report(
         args,
-        obj,
+        input=_input_section(obj),
         rank=rank,
         n=system.dim,
         full_rank=rank == system.dim,
@@ -261,9 +255,7 @@ def _cmd_validate(args) -> int:
             trial["pattern"] = serialize(pattern)
         trials.append(trial)
     disagreements = [trial["index"] for trial in trials if not trial["agree"]]
-    report = {
-        "format_version": FORMAT_VERSION,
-        "command": "validate",
+    fields = {
         "trials": args.trials,
         "n": args.n,
         "k": args.k,
@@ -276,9 +268,8 @@ def _cmd_validate(args) -> int:
         "detail": trials,
     }
     if args.timings:
-        report["timings_ms"] = phases
-    _emit(report, args)
-    return 0
+        fields["timings_ms"] = phases
+    return _report(args, **fields)
 
 
 def _cmd_gen(args) -> int:
@@ -297,7 +288,9 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 def _add_numeric_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=0.0, help="relative SVD cutoff, 0 = automatic")
     parser.add_argument("--seed", type=int, default=0, help="realization seed for pattern input")
-    parser.add_argument("--cap", type=int, default=DEFAULT_CAP, help="capacity cap in cells")
+    parser.add_argument(
+        "--cap", type=int, default=DEFAULT_CAP, help="cap in cells on the rank reduction"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

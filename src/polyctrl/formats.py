@@ -26,7 +26,7 @@ import numpy as np
 
 from .hypergraph import DirectedHypergraph
 from .system import Polysystem, SparsityPattern
-from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, _first_outside, _row_order
+from .tensor import CapacityError, SparseTensor, _check_capacity, _first_outside, _row_order
 
 __all__ = ["ParseError", "parse_hypergraph", "parse_input", "parse_system", "serialize"]
 
@@ -72,6 +72,8 @@ def _tensor_header(line_no: int, tokens: list[str]) -> tuple[int, int]:
         raise ParseError(line_no, f"tensor order must be >= 2, got {k}")
     if k % 2 != 0:
         raise ParseError(line_no, f"tensor order k={k} is odd; the drift degree k-1 must be odd")
+    # the readers build a tuple of k per-column bounds
+    _check_capacity(f"line {line_no}: tensor order needs", k)
     if n < 1:
         raise ParseError(line_no, f"dimension must be >= 1, got {n}")
     return k, n
@@ -125,8 +127,9 @@ def _bulk_pattern(text: str) -> SparsityPattern | None:
 
     Returns None for any text that the per-line loop might read differently
     or reject: non-ASCII text, a header line with a control character, a
-    section with anything but digits and blanks, or any bad entry.  The loop
-    then reads it and words the error, so every message keeps its line.
+    section with anything but digits and blanks, a refused header or any
+    bad entry.  The loop then reads it and words the error, so every
+    message keeps its line.
     """
     if not text.isascii():
         return None
@@ -148,7 +151,7 @@ def _bulk_pattern(text: str) -> SparsityPattern | None:
     try:
         k, n = _tensor_header(0, tensor_line.split())
         m = _matrix_header(0, matrix_tokens, n)
-    except ParseError:
+    except (ParseError, CapacityError):
         return None
     tensor = _bulk_rows(text[tensor_end:matrix_start], (n,) * k)
     control = _bulk_rows(text[matrix_end:], (n, m))
@@ -187,10 +190,7 @@ def _parse_lines(text: str) -> Polysystem | SparsityPattern:
     m = _matrix_header(line_no, tokens, n)
     control, valued, *_ = _read_section(lines, line_no, ("row", "column"), (n, m), "entry", valued)
     if valued:
-        if n * m > DEFAULT_CAP:
-            raise CapacityError(
-                f"line {line_no}: control matrix needs {n * m} cells, cap is {DEFAULT_CAP}"
-            )
+        _check_capacity(f"line {line_no}: control matrix needs", n * m)
         matrix = np.zeros((n, m))
         for (i, j), value in control.items():
             matrix[i - 1, j - 1] = value

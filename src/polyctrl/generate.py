@@ -14,7 +14,7 @@ import numpy as np
 
 from .hypergraph import DirectedHypergraph, Hyperedge
 from .system import SparsityPattern, check_shape
-from .tensor import DEFAULT_CAP, CapacityError, _row_order
+from .tensor import _check_capacity, _row_order
 
 __all__ = [
     "pattern_of_shape",
@@ -46,6 +46,11 @@ def _within_index_space(count: int, n: int, k: int) -> bool:
     return k * (int(n).bit_length() - 1) >= int(count).bit_length() or count <= n**k
 
 
+def _check_vertices(n: int, m: int) -> None:
+    # refused before the first draw; a graph refuses from a lower count on
+    _check_capacity(f"pattern has {n + m} vertices, which need", n + m)
+
+
 def pattern_with_rng(
     rng: np.random.Generator, n: int, k: int, m: int, tensor_nnz: int, control_nnz: int
 ) -> SparsityPattern:
@@ -54,12 +59,10 @@ def pattern_with_rng(
         raise ValueError(
             f"support sizes must be >= 0, got tensor {tensor_nnz} and control {control_nnz}"
         )
-    # refused before the first draw; a graph refuses from a lower count on
-    if n + m > DEFAULT_CAP:
-        raise CapacityError(f"pattern has {n + m} vertices, cap is {DEFAULT_CAP}")
-    cells = tensor_nnz * k + control_nnz * 2
-    if cells > DEFAULT_CAP:
-        raise CapacityError(f"pattern support needs {cells} cells, cap is {DEFAULT_CAP}")
+    _check_vertices(n, m)
+    _check_capacity("pattern support needs", tensor_nnz * k + control_nnz * 2)
+    # each support draw builds a tuple of k per-column bounds
+    _check_capacity("tensor order needs", k)
     if not _within_index_space(tensor_nnz, n, k):
         raise ValueError(f"tensor support {tensor_nnz} exceeds index space {n ** k}")
     if control_nnz > n * m:
@@ -83,6 +86,7 @@ def pattern_of_shape(
     """Pattern of the given shape with drawn support sizes: 1..max_tensor_nnz
     tensor entries (at most n**k) and 1..n*m control entries."""
     check_shape(n, k, m)
+    _check_vertices(n, m)
     tensor_nnz = int(rng.integers(1, max_tensor_nnz + 1))
     if not _within_index_space(tensor_nnz, n, k):
         tensor_nnz = n**k

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .system import SparsityPattern
-from .tensor import DEFAULT_CAP, CapacityError, _FrozenArrays, _integer, _row_order
+from .tensor import _FrozenArrays, _check_capacity, _integer, _row_order
 
 __all__ = [
     "DirectedHypergraph",
@@ -33,6 +33,10 @@ __all__ = [
 # ``analyze --json`` peaks at about 360 bytes a vertex, so at 448 bytes the
 # largest admitted graph, 1,198,372 vertices, analyzes in under 512 MiB.
 _VERTEX_CELLS = 56
+
+
+def _check_vertices(n: int, m: int) -> None:
+    _check_capacity(f"graph has {n + m} vertices, which need", (n + m) * _VERTEX_CELLS)
 
 
 class Hyperedge(_FrozenArrays):
@@ -144,11 +148,7 @@ class DirectedHypergraph(_FrozenArrays):
         return cls._wrap(n, m, tail_ptr, tail_idx, head_ptr, head_idx)
 
     def _fill(self, n, m, tail_ptr, tail_idx, head_ptr, head_idx, edges=None) -> None:
-        cells = (n + m) * _VERTEX_CELLS
-        if cells > DEFAULT_CAP:
-            raise CapacityError(
-                f"graph has {n + m} vertices, which need {cells} cells, cap is {DEFAULT_CAP}"
-            )
+        _check_vertices(n, m)
         # A graph built from Hyperedges keeps their tuple as ``edges``; one
         # built from a table reads its Hyperedges back only when asked.
         table = (tuple(tail_ptr), tuple(tail_idx), tuple(head_ptr), tuple(head_idx))
@@ -202,6 +202,8 @@ def build_hypergraph(pattern: SparsityPattern) -> DirectedHypergraph:
     is already validated, so the table is wrapped without further checks.
     """
     n = pattern.dim
+    # refused before n is added to the control rows, which a huge n overflows
+    _check_vertices(n, pattern.inputs)
     tail_ptr, tail_idx, head_ptr, head_idx = [], [], [], []
     for rows in (pattern.control_index[:, ::-1] + (n, 0), pattern.tensor_index):
         tails, heads_ptr, heads = _group_rows(rows)

@@ -50,8 +50,8 @@ from typing import Iterable
 import numpy as np
 
 from .system import Polysystem, SparsityPattern, sample_coefficients
-from .tensor import DEFAULT_CAP, CapacityError, kron_power, symmetrize, unfold
-from .tensor import _FrozenArrays, _field
+from .tensor import DEFAULT_CAP, kron_power, symmetrize, unfold
+from .tensor import _FrozenArrays, _check_capacity, _field
 
 __all__ = [
     "RankReport",
@@ -133,20 +133,22 @@ def _reduce(
     ``index`` is the support's (nnz, k) array of 1-based multi-indices,
     ``coeffs`` the (R, nnz) coefficients and ``controls`` the (R, n, m)
     control matrices.  Each member's coefficients are scaled to unit
-    Euclidean norm and B is orthonormalized up front, so the verdict does
-    not depend on the overall scale of either.  ``tol`` is the relative
-    singular-value cutoff; 0 selects the automatic n * machine-epsilon
+    Euclidean norm, by an exact power of two first so that no square
+    overflows or underflows, and B is orthonormalized up front, so the
+    verdict does not depend on the overall scale of either.  ``tol`` is the
+    relative singular-value cutoff; 0 selects the automatic n * machine-epsilon
     cutoff (a batch beside the basis never has more than n columns).
     ``cap`` bounds the cells of each member's n x n basis and one batch.
     Returns each member's rank, iteration count and cutoff; a member that
     did not iterate reports the cutoff of its control rank.
     """
     cells = len(controls) * (n * n + (n + index[:, :-1].size) * min(_BATCH, n))
-    if cells > cap:
-        raise CapacityError(f"rank reduction needs {cells} cells, cap is {cap}")
-    # one contiguous row per member, so every norm rounds as a stack of one's
-    coeffs = np.array(coeffs, dtype=float)
+    _check_capacity("rank reduction needs", cells, cap)
     if coeffs.shape[1]:
+        # one contiguous row per member, so every norm rounds as a stack of
+        # one's, with its largest |c| brought into [0.5, 1) exactly
+        exponents = np.frexp(np.abs(coeffs).max(axis=1, keepdims=True))[1]
+        coeffs = np.ldexp(coeffs, -exponents)
         for c in coeffs:
             c /= np.sqrt(c @ c)
     index = index - 1
@@ -191,19 +193,17 @@ def strong_controllability(
 
 
 def realization_ranks(
-    pattern: SparsityPattern, seeds: Iterable[int], tol: float = 0.0, cap: int = DEFAULT_CAP
+    pattern: SparsityPattern, seeds: Iterable[int], tol: float = 0.0
 ) -> list[RankReport]:
     """Rank verdicts of the pattern's realizations, one per seed, drawn by
     ``sample_coefficients`` and reduced as one stack.  Each report equals
-    ``strong_controllability(sample_realization(pattern, seed), tol, cap)``
-    bit for bit; ``cap`` counts the cells of the whole stack."""
+    ``strong_controllability(sample_realization(pattern, seed), tol)`` bit
+    for bit; ``DEFAULT_CAP`` counts the cells of the whole stack."""
     index, coeffs, controls = sample_coefficients(pattern, seeds)
-    return _reports(pattern.dim, _reduce(pattern.dim, index, coeffs, controls, tol, cap))
+    return _reports(pattern.dim, _reduce(pattern.dim, index, coeffs, controls, tol, DEFAULT_CAP))
 
 
-def explicit_controllability_matrix(
-    system: Polysystem, terms: int, cap: int = DEFAULT_CAP
-) -> np.ndarray:
+def explicit_controllability_matrix(system: Polysystem, terms: int) -> np.ndarray:
     """Uncompressed controllability matrix after ``terms - 1`` steps of the
     cumulative recursion M_0 = B, M_j = [M_{j-1}, A M_{j-1}^(kron (k-1))].
 
@@ -217,14 +217,9 @@ def explicit_controllability_matrix(
     """
     if terms < 1:
         raise ValueError(f"need at least one term, got {terms}")
-    a_mat = unfold(symmetrize(system.tensor), cap=cap)
+    a_mat = unfold(symmetrize(system.tensor))
     mat = np.array(system.control)
     for _ in range(terms - 1):
-        power = kron_power(mat, system.order - 1, cap=cap)
-        if mat.shape[0] * power.shape[1] > cap:
-            raise CapacityError(
-                f"controllability block needs {mat.shape[0] * power.shape[1]} "
-                f"cells, cap is {cap}"
-            )
-        mat = np.hstack([mat, a_mat @ power])
+        # A @ power has n**(k-2) times fewer cells than power, which kron_power bounds
+        mat = np.hstack([mat, a_mat @ kron_power(mat, system.order - 1)])
     return mat

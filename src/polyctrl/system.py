@@ -16,8 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor import DEFAULT_CAP, CapacityError, SparseTensor, _FrozenArrays
-from .tensor import _first_outside, _support_index
+from .tensor import SparseTensor, _FrozenArrays, _check_capacity, _first_outside, _support_index
 
 __all__ = [
     "Polysystem",
@@ -191,9 +190,7 @@ def sample_coefficients(
     the control matrices hold more than ``DEFAULT_CAP`` cells.
     """
     seeds = list(seeds)
-    cells = len(seeds) * pattern.dim * pattern.inputs
-    if cells > DEFAULT_CAP:
-        raise CapacityError(f"control matrices need {cells} cells, cap is {DEFAULT_CAP}")
+    _check_capacity("control matrices need", len(seeds) * pattern.dim * pattern.inputs)
     index, control = pattern.tensor_index, pattern.control_index
     nnz = len(index)
     count = nnz + len(control)

@@ -44,6 +44,13 @@ class CapacityError(Exception):
     """An operation would materialize more data than its configured cap."""
 
 
+def _check_capacity(what: str, cells: int, cap: int = DEFAULT_CAP) -> None:
+    """The one capacity rule: refuse work of more than ``cap`` cells before
+    it starts, as ``"{what} {cells} cells, cap is {cap}"``."""
+    if cells > cap:
+        raise CapacityError(f"{what} {cells} cells, cap is {cap}")
+
+
 class _FrozenArrays:
     """Immutable holder of the fields named by ``__slots__``, some of them
     read-only arrays in a canonical form.  The constructor takes the fields
@@ -155,8 +162,8 @@ class SparseTensor(_FrozenArrays):
     entries as a mapping or as an iterable of (multi-index, value) pairs, in
     any order.  Stored support equals structural support: exact-zero
     coefficients and duplicate multi-indices are construction errors, not
-    silent drops.  ``entries`` and ``support`` read the arrays back;
-    ``from_arrays`` wraps arrays that are already canonical.
+    silent drops.  ``entries`` reads the arrays back; ``from_arrays`` wraps
+    arrays that are already canonical.
     """
 
     __slots__ = ("order", "dim", "index", "values")
@@ -200,10 +207,6 @@ class SparseTensor(_FrozenArrays):
     def entries(self) -> dict[tuple[int, ...], float]:
         return dict(zip(map(tuple, self.index.tolist()), self.values.tolist()))
 
-    @property
-    def support(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(map(tuple, self.index.tolist()))
-
     def __repr__(self) -> str:
         return f"SparseTensor(order={self.order!r}, dim={self.dim!r}, entries={self.entries!r})"
 
@@ -236,19 +239,15 @@ def symmetrize(tensor: SparseTensor) -> SparseTensor:
     )
 
 
-def unfold(tensor: SparseTensor, cap: int = DEFAULT_CAP) -> np.ndarray:
+def unfold(tensor: SparseTensor) -> np.ndarray:
     """Mode-k unfolding: n x n**(k-1) matrix, row = head index.
 
     Column order puts tail mode 1 slowest, matching ``kron_power``.  Raises
-    CapacityError when its n * n**(k-1) cells exceed ``cap``.
+    CapacityError when its n * n**(k-1) cells exceed ``DEFAULT_CAP``.
     """
     n, k = tensor.dim, tensor.order
     cols = n ** (k - 1)
-    if n * cols > cap:
-        raise CapacityError(
-            f"unfolding needs {n * cols} cells, cap is {cap}; "
-            "use the sparse operations instead"
-        )
+    _check_capacity("unfolding needs", n * cols)
     out = np.zeros((n, cols))
     index = tensor.index - 1
     # column of a row: sum over tail modes m of (i_m - 1) * n**(k-2-m)
@@ -267,11 +266,11 @@ def contract(tensor: SparseTensor, x: np.ndarray) -> np.ndarray:
     return _field(tensor.index - 1, tensor.values, x[:, None])[:, 0]
 
 
-def kron_power(mat: np.ndarray, power: int, cap: int = DEFAULT_CAP) -> np.ndarray:
+def kron_power(mat: np.ndarray, power: int) -> np.ndarray:
     """Iterated Kronecker product of ``mat`` with itself, first factor slowest.
 
     Accepts a matrix or a vector (returned in kind).  Raises CapacityError
-    when the result would hold more than ``cap`` cells.
+    when the result would hold more than ``DEFAULT_CAP`` cells.
     """
     if power < 1:
         raise ValueError(f"Kronecker power must be >= 1, got {power}")
@@ -281,8 +280,7 @@ def kron_power(mat: np.ndarray, power: int, cap: int = DEFAULT_CAP) -> np.ndarra
     cells = 1
     for extent in mat.shape:
         cells *= extent ** power
-    if cells > cap:
-        raise CapacityError(f"Kronecker power needs {cells} cells, cap is {cap}")
+    _check_capacity("Kronecker power needs", cells)
     out = mat
     for _ in range(power - 1):
         out = np.kron(out, mat)

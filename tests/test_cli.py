@@ -528,6 +528,14 @@ def test_bad_tolerance_exit_code(tmp_path, capsys, tol):
         ("rank", "tensor 2 2\n1 2 1.0\nmatrix 2 99999999999999999999\n1 1 1.0\n"),
         ("rank", "tensor 2 2\n1 2\nmatrix 2 9999999999999\n1 1\n"),
         ("rank", "tensor 2 2\n1 2\nmatrix 2 99999999999999999999\n1 1\n"),
+        # n beyond int64, refused before n is added to the control rows
+        *(
+            (command, "tensor 2 9223372036854775808\n1 1\nmatrix 9223372036854775808 1\n1 1\n")
+            for command in ("analyze", "dilation", "access")
+        ),
+        # an order whose tuple of k column bounds no reader builds
+        ("analyze", "tensor 99999999999999999998 2\nmatrix 2 1\n1 1\n"),
+        ("analyze", "tensor 67108866 2\nmatrix 2 1\n1 1\n"),
     ],
 )
 def test_huge_vertex_count_is_a_capacity_error(tmp_path, capsys, command, text):
@@ -556,6 +564,16 @@ def test_huge_vertex_count_is_a_capacity_error(tmp_path, capsys, command, text):
             ["validate", "--n", "3", "--k", "100000000", "--m", "1", "--trials", "1"],
             "pattern support needs",
         ),
+        (
+            ["gen", "--n", "2", "--k", "9999999999999999998", "--m", "1"]
+            + ["--tensor-nnz", "0", "--control-nnz", "1"],
+            "tensor order needs 9999999999999999998 cells",
+        ),
+        # refused before a support size is drawn below n * m
+        (
+            ["validate", "--n", "99999999999999999999", "--k", "2", "--m", "1", "--trials", "1"],
+            "pattern has 100000000000000000000 vertices",
+        ),
     ],
 )
 def test_huge_generated_pattern_is_a_capacity_error(capsys, argv, message):
@@ -579,6 +597,18 @@ def test_non_finite_coefficient_exit_code(tmp_path, capsys, value):
     error = json.loads(captured.err)["error"]
     assert error["kind"] == "input"
     assert error["message"].startswith("line 2")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["1e300", "1e-170"])
+def test_rank_of_a_chain_does_not_depend_on_its_scale(tmp_path, capsys, scale):
+    # the squares of these coefficients overflow or underflow
+    path = write(tmp_path, f"tensor 2 3\n1 2 {scale}\n2 3 {scale}\nmatrix 3 1\n1 1 1.0\n")
+    code = run(["rank", path, "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    report = json.loads(captured.out)
+    assert (report["rank"], report["strongly_controllable"]) == (3, True)
 
 
 def test_capacity_exit_code(tmp_path, capsys):

@@ -62,6 +62,34 @@ def test_every_module_level_definition_is_exported_or_used():
     assert dead == []
 
 
+def capacity_error_constructors(node, where):
+    """The enclosing definition of every call that builds a CapacityError."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "CapacityError":
+                yield where
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from capacity_error_constructors(child, f"{where}.{child.name}" if named else where)
+
+
+def test_only_the_capacity_rule_builds_a_capacity_error():
+    """Every cell count is refused by the one rule; the oracles' desk-scale
+    guards bound sizes, not cells, and are the only exceptions."""
+    source = Path(polyctrl.__file__).parent
+    builders = [
+        where
+        for path in sorted(source.glob("*.py"))
+        for where in capacity_error_constructors(ast.parse(path.read_text()), path.stem)
+    ]
+    assert builders == [
+        "oracle._bracket_generation",
+        "oracle.brute_force_dilation",
+        "oracle.individual_accessibility_closure",
+        "tensor._check_capacity",
+    ]
+
+
 def test_no_frozen_value_copies_the_value_machinery():
     """Every ``_FrozenArrays`` form takes equality, hashing, immutability and
     pickling from the base; none defines its own."""

@@ -27,8 +27,8 @@ from polyctrl.numeric import (
 )
 from polyctrl.oracle import kalman_rank
 from polyctrl.structural import verdict_against_rank
-from polyctrl.system import Polysystem, SparsityPattern, sample_realization, sparsity_pattern
-from polyctrl.tensor import CapacityError, SparseTensor, _field, symmetrize, unfold
+from polyctrl.system import Polysystem, SparsityPattern, sample_realization
+from polyctrl.tensor import DEFAULT_CAP, CapacityError, SparseTensor, _field, symmetrize, unfold
 
 
 def scaled(system: Polysystem, factor: float) -> Polysystem:
@@ -389,13 +389,14 @@ def test_reported_cutoff_with_more_inputs_than_dimensions():
 
 
 def test_stack_cap_counts_every_member():
-    pattern = sparsity_pattern(cubic_forward_system())
-    # one member: a 2 x 2 basis plus a batch of 2 points, 2 cells each and
-    # 3 gathered tail cells
-    cells = 2 * 2 + (2 + 3) * 2
-    assert [r.rank for r in realization_ranks(pattern, [1, 2, 3], cap=3 * cells)] == [2, 2, 2]
+    n = 4800
+    pattern = SparsityPattern(2, n, 1, {(i, i + 1) for i in range(1, n)}, {(1, 1)})
+    # one member: an n x n basis plus a batch of 8 points, n cells each and
+    # n - 1 gathered tail cells; one member fits the cap, three do not
+    cells = n * n + (n + n - 1) * 8
+    assert 3 * cells > DEFAULT_CAP > cells
     with pytest.raises(CapacityError, match=f"needs {3 * cells} cells"):
-        realization_ranks(pattern, [1, 2, 3], cap=3 * cells - 1)
+        realization_ranks(pattern, [1, 2, 3])
 
 
 def test_stack_refuses_an_odd_order():
@@ -433,9 +434,10 @@ def test_explicit_rejects_bad_terms():
 
 
 def test_explicit_capacity_guard():
-    system = Polysystem(SparseTensor(4, 2, {(1, 1, 1, 2): 1.0}), np.ones((2, 2)))
-    with pytest.raises(CapacityError):
-        explicit_controllability_matrix(system, terms=3, cap=100)
+    # widths 1, 2, 10, 1010: the fifth term's Kronecker power of the
+    # 2 x 1010 matrix needs 2**3 * 1010**3 cells
+    with pytest.raises(CapacityError, match=f"needs {2**3 * 1010**3} cells"):
+        explicit_controllability_matrix(cubic_forward_system(), terms=5)
 
 
 def test_explicit_column_count_growth():

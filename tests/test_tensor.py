@@ -16,6 +16,7 @@ from polyctrl.tensor import (
     SparseTensor,
     contract,
     kron_power,
+    _check_capacity,
     _row_order,
     symmetrize,
     unfold,
@@ -100,10 +101,19 @@ def test_unfold_capacity():
     # the default cap admits it at n = 1
     assert unfold(SparseTensor(40, 1, {(1,) * 40: 2.0})).shape == (1, 1)
     # the cap counts cells, n * n**(k-1), not columns
-    cube = SparseTensor(4, 3, {(1, 2, 3, 1): 1.0})
-    assert unfold(cube, cap=81).shape == (3, 27)
-    with pytest.raises(CapacityError, match="needs 81 cells"):
-        unfold(cube, cap=80)
+    assert unfold(SparseTensor(4, 3, {(1, 2, 3, 1): 1.0})).shape == (3, 27)
+    with pytest.raises(CapacityError, match=f"needs {91**4} cells"):
+        unfold(SparseTensor(4, 91, {(1, 2, 3, 1): 1.0}))
+
+
+def test_capacity_rule_refuses_only_above_the_cap():
+    _check_capacity("block needs", DEFAULT_CAP)
+    with pytest.raises(CapacityError) as info:
+        _check_capacity("block needs", DEFAULT_CAP + 1)
+    assert str(info.value) == f"block needs {DEFAULT_CAP + 1} cells, cap is {DEFAULT_CAP}"
+    _check_capacity("block needs", 10, cap=10)
+    with pytest.raises(CapacityError, match="^block needs 11 cells, cap is 10$"):
+        _check_capacity("block needs", 11, cap=10)
 
 
 # --- tail symmetrization ---
@@ -189,9 +199,9 @@ def test_kron_power_rejects_bad_input():
 
 
 def test_kron_power_capacity():
-    with pytest.raises(CapacityError):
-        kron_power(np.ones(4), 5, cap=1023)
-    assert kron_power(np.ones(4), 5, cap=1024).shape == (1024,)
+    with pytest.raises(CapacityError, match=f"needs {4**14} cells"):
+        kron_power(np.ones(4), 14)
+    assert kron_power(np.ones(4), 5).shape == (1024,)
 
 
 # --- construction ---
@@ -201,7 +211,7 @@ def test_entries_accept_mapping_and_pairs():
     from_map = SparseTensor(2, 2, {(1, 2): 1.5})
     from_pairs = SparseTensor(2, 2, [((1, 2), 1.5)])
     assert from_map.entries == from_pairs.entries == {(1, 2): 1.5}
-    assert from_map.support == frozenset({(1, 2)})
+    assert from_map.index.tolist() == [[1, 2]]
 
 
 ENTRIES = {(2, 1, 1, 1): -0.5, (1, 2, 2, 2): 2.0, (1, 1, 1, 2): 1.0, (2, 2, 1, 2): 0.75}
