@@ -51,7 +51,7 @@ import numpy as np
 
 from .system import Polysystem, SparsityPattern, sample_coefficients
 from .tensor import DEFAULT_CAP, kron_power, symmetrize, unfold
-from .tensor import _FrozenArrays, _check_capacity, _field
+from .tensor import _FrozenArrays, _check_capacity, _field, _unit_scaled
 
 __all__ = [
     "RankReport",
@@ -147,10 +147,7 @@ def _reduce(
     if coeffs.shape[1]:
         # one contiguous row per member, so every norm rounds as a stack of
         # one's, with its largest |c| brought into [0.5, 1) exactly
-        exponents = np.frexp(np.abs(coeffs).max(axis=1, keepdims=True))[1]
-        coeffs = np.ldexp(coeffs, -exponents)
-        for c in coeffs:
-            c /= np.sqrt(c @ c)
+        coeffs = np.array([c / np.sqrt(c @ c) for c in map(_unit_scaled, coeffs)])
     index = index - 1
     u, sigma, _ = np.linalg.svd(controls, full_matrices=False)
     control_cutoff = _relative_tolerance(tol, controls.shape[1:])

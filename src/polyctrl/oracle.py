@@ -10,7 +10,6 @@ linear case.  All of it is deliberately desk-scale and guarded.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement
 from typing import Mapping
@@ -20,7 +19,7 @@ import numpy as np
 from .hypergraph import DirectedHypergraph
 from .numeric import svd_rank
 from .system import Polysystem
-from .tensor import CapacityError, _FrozenArrays, _integer
+from .tensor import CapacityError, SparseTensor, _FrozenArrays, _integer, _unit_scaled
 
 __all__ = [
     "AccessClosure",
@@ -109,9 +108,6 @@ class PolyVectorField(_FrozenArrays):
             cleaned.append(merged)
         self._fill(dim, tuple(cleaned))
 
-    def is_zero(self) -> bool:
-        return all(not poly for poly in self.coords)
-
 
 def field_from_polysystem(
     system: Polysystem,
@@ -157,48 +153,21 @@ def evaluate_at_zero(field: PolyVectorField) -> np.ndarray:
 
 
 class _FieldSpan:
-    """Span of fields over the monomial-coordinate basis.
-
-    Integer coefficient systems get exact Fraction elimination; anything
-    else falls back to orthogonal residuals with relative tolerance ``RTOL``.
-    """
+    """Span of fields over the monomial-coordinate basis, kept as orthonormal
+    rows: a field extends it when its residual after two rounds of
+    Gram-Schmidt exceeds ``RTOL`` times its own norm."""
 
     RTOL = 1e-10
 
-    def __init__(self, exact: bool) -> None:
-        self.exact = exact
+    def __init__(self) -> None:
         self.index: dict[tuple[int, Powers], int] = {}
         self.rows: list[np.ndarray] = []
-        self.echelon: list[dict[tuple[int, Powers], Fraction]] = []
 
-    def _as_items(self, field: PolyVectorField) -> list[tuple[tuple[int, Powers], float]]:
-        items = []
-        for i, poly in enumerate(field.coords):
-            for key, coeff in poly.items():
-                items.append(((i, key), coeff))
-        return sorted(items)
-
-    def _add_exact(self, items) -> bool:
-        work = {key: Fraction(coeff) for key, coeff in items}
-        for row in self.echelon:
-            pivot = min(row)
-            if pivot in work:
-                factor = work[pivot] / row[pivot]
-                for key, value in row.items():
-                    updated = work.get(key, Fraction(0)) - factor * value
-                    if updated == 0:
-                        work.pop(key, None)
-                    else:
-                        work[key] = updated
-        if not work:
-            return False
-        pivot = min(work)
-        scale = work[pivot]
-        self.echelon.append({key: value / scale for key, value in work.items()})
-        self.echelon.sort(key=lambda row: min(row))
-        return True
-
-    def _add_float(self, items) -> bool:
+    def add(self, field: PolyVectorField) -> bool:
+        """True when the field extends the span; it is then retained."""
+        items = sorted(
+            ((i, key), coeff) for i, poly in enumerate(field.coords) for key, coeff in poly.items()
+        )
         for key, _ in items:
             if key not in self.index:
                 self.index[key] = len(self.index)
@@ -225,21 +194,6 @@ class _FieldSpan:
         self.rows.append(residual / res_norm)
         return True
 
-    def add(self, field: PolyVectorField) -> bool:
-        """True when the field extends the span; it is then retained."""
-        items = self._as_items(field)
-        if not items:
-            return False
-        if self.exact:
-            return self._add_exact(items)
-        return self._add_float(items)
-
-
-def _all_integral(system: Polysystem) -> bool:
-    return all(c.is_integer() for c in system.tensor.values.tolist()) and all(
-        float(v).is_integer() for v in np.ravel(system.control)
-    )
-
 
 def _bracket_generation(
     system: Polysystem, depth_cap: int | None
@@ -255,9 +209,15 @@ def _bracket_generation(
     if depth_cap < 1:
         raise ValueError(f"depth cap must be >= 1, got {depth_cap}")
 
-    drift, inputs = field_from_polysystem(system)
+    # Drift and inputs scaled by nonzero constants generate the same algebra,
+    # so A and B are each brought to a largest |entry| in [0.5, 1) first and
+    # the rank does not depend on the units of the coefficients.
+    tensor = SparseTensor.from_arrays(
+        k, n, system.tensor.index, _unit_scaled(system.tensor.values)
+    )
+    drift, inputs = field_from_polysystem(Polysystem(tensor, _unit_scaled(system.control)))
     generators = [drift, *inputs]
-    span = _FieldSpan(exact=_all_integral(system))
+    span = _FieldSpan()
     basis: list[PolyVectorField] = []
     for g in generators:
         if span.add(g):
@@ -332,14 +292,13 @@ def lie_rank_is_final(system: Polysystem, depth_cap: int | None = None) -> bool:
     exactly when it does at the points sum(t_i v_i), over a basis v of V
     and nonnegative integers t summing to k - 1; those points determine a
     homogeneous polynomial of that degree.  The basis is taken from the
-    found values themselves, so for integral systems every point and drift
-    value is an integer and the span test is exact Fraction elimination;
-    other systems use the span's relative tolerance.
+    found values themselves, of the system scaled as in the bracket
+    generation, and the span test is the span's relative tolerance.
     """
     drift, inputs, basis, saturated = _bracket_generation(system, depth_cap)
     if saturated or _rank_at_zero(basis) == system.dim:
         return True
-    span = _FieldSpan(exact=_all_integral(system))
+    span = _FieldSpan()
     values = [evaluate_at_zero(h) for h in basis]
     space = [v for v in values if span.add(_constant_field(v))]
     tests = [evaluate_at_zero(b) for b in inputs]

@@ -51,6 +51,14 @@ def _check_capacity(what: str, cells: int, cap: int = DEFAULT_CAP) -> None:
         raise CapacityError(f"{what} {cells} cells, cap is {cap}")
 
 
+def _unit_scaled(values: np.ndarray) -> np.ndarray:
+    """``values`` times the exact power of two that brings its largest
+    |entry| into [0.5, 1); an empty or all-zero array comes back unscaled.
+    Entries more than float64's range below the largest lose precision or
+    become zero."""
+    return np.ldexp(values, -np.frexp(np.abs(values).max(initial=0.0))[1])
+
+
 class _FrozenArrays:
     """Immutable holder of the fields named by ``__slots__``, some of them
     read-only arrays in a canonical form.  The constructor takes the fields

@@ -599,16 +599,32 @@ def test_non_finite_coefficient_exit_code(tmp_path, capsys, value):
     assert error["message"].startswith("line 2")
 
 
+# (id, text, rank): the squares of these coefficients overflow or
+# underflow, and so do the products of the Lie brackets
+SCALED_TEXTS = [
+    (scale, f"tensor 2 3\n1 2 {scale}\n2 3 {scale}\nmatrix 3 1\n1 1 1.0\n", 3)
+    for scale in ["1e300", "1e-170"]
+] + [
+    (f"k4-{scale}", f"tensor 4 2\n1 1 1 2 {scale}\nmatrix 2 1\n1 1 {scale}\n", 2)
+    for scale in ["1e100", "1e-200"]
+]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", ["1e300", "1e-170"])
-def test_rank_of_a_chain_does_not_depend_on_its_scale(tmp_path, capsys, scale):
-    # the squares of these coefficients overflow or underflow
-    path = write(tmp_path, f"tensor 2 3\n1 2 {scale}\n2 3 {scale}\nmatrix 3 1\n1 1 1.0\n")
-    code = run(["rank", path, "--json"])
+@pytest.mark.parametrize(
+    "command, text, rank",
+    [
+        pytest.param(command, text, rank, id=prefix + name)
+        for command, prefix in [("rank", ""), ("lie-rank", "lie-rank-")]
+        for name, text, rank in SCALED_TEXTS
+    ],
+)
+def test_rank_of_a_chain_does_not_depend_on_its_scale(tmp_path, capsys, command, text, rank):
+    code = run([command, write(tmp_path, text), "--json"])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     report = json.loads(captured.out)
-    assert (report["rank"], report["strongly_controllable"]) == (3, True)
+    assert (report["rank"], report["n"]) == (rank, rank)
 
 
 def test_capacity_exit_code(tmp_path, capsys):

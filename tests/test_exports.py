@@ -195,3 +195,23 @@ def test_one_routine_orders_index_rows():
                 defined.append(path.stem)
     assert calls == []
     assert defined == ["tensor"]
+
+
+def test_one_routine_scales_by_powers_of_two():
+    """Every exact power-of-two scaling goes through ``tensor._unit_scaled``,
+    the one caller of ``frexp``."""
+    source = Path(polyctrl.__file__).parent
+    callers = []
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # each node's innermost enclosing function, None at module level
+        scope = {
+            id(node): function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "frexp" in referenced_names(node.func):
+                callers.append((path.stem, scope.get(id(node))))
+    assert callers == [("tensor", "_unit_scaled")]

@@ -40,6 +40,10 @@ def combine(a: float, f: PolyVectorField, b: float, g: PolyVectorField) -> PolyV
     return PolyVectorField(f.dim, tuple(coords))
 
 
+# the zero field of the dimension ``fields`` draws
+ZERO = PolyVectorField(2, ({},) * 2)
+
+
 @st.composite
 def fields(draw, dim=2, max_terms=3):
     exponent_maps = st.lists(
@@ -98,12 +102,12 @@ def test_bracket_chain_of_the_cubic():
     third = lie_bracket(b, second)
     assert third.coords == ({}, {(): 6.0})
     assert np.array_equal(evaluate_at_zero(third), [0.0, 6.0])
-    assert lie_bracket(b, third).is_zero()
+    assert lie_bracket(b, third) == ZERO
 
 
 def test_bracket_with_itself_vanishes():
     drift, _ = field_from_polysystem(cubic_forward_system())
-    assert lie_bracket(drift, drift).is_zero()
+    assert lie_bracket(drift, drift) == ZERO
 
 
 def test_bracket_dimension_mismatch():
@@ -116,7 +120,7 @@ def test_bracket_dimension_mismatch():
 @given(fields(), fields())
 @settings(max_examples=60)
 def test_bracket_antisymmetry(f, g):
-    assert combine(1.0, lie_bracket(f, g), 1.0, lie_bracket(g, f)).is_zero()
+    assert combine(1.0, lie_bracket(f, g), 1.0, lie_bracket(g, f)) == ZERO
 
 
 @given(fields(), fields(), fields(), st.integers(-2, 2), st.integers(-2, 2))
@@ -136,7 +140,7 @@ def test_jacobi_identity(f, g, h):
         1.0,
         lie_bracket(h, lie_bracket(f, g)),
     )
-    assert total.is_zero()
+    assert total == ZERO
 
 
 def test_field_validation():
