@@ -26,6 +26,7 @@ from .structural import (
     detect_dilation,
     structural_verdict,
     verdict_against_rank,
+    verdict_cells,
 )
 from .system import Polysystem, check_shape, sample_realization, sparsity_pattern
 from .tensor import DEFAULT_CAP, CapacityError
@@ -35,6 +36,9 @@ import numpy as np
 __all__ = ["main", "run"]
 
 FORMAT_VERSION = "1"
+# validate ranks its queued trials as one stack once their cells reach this
+# many, about 40 desk-size trials: few numpy calls per trial, little memory
+_STACK_CELLS = 1 << 15
 
 
 def _timed(phases: dict[str, float], name: str, fn, *args, **kwargs):
@@ -223,26 +227,13 @@ def _cmd_lie_rank(args) -> int:
     )
 
 
-def _cmd_validate(args) -> int:
-    if args.trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {args.trials}")
-    check_shape(args.n, args.k, args.m)
-    check_tolerance(args.tol)
-    rng = np.random.default_rng(args.seed)
-    phases = dict.fromkeys(("patterns", "structural", "realizations"), 0.0)
-    trials = []
-    for index in range(args.trials):
-        pattern = _timed(phases, "patterns", pattern_of_shape, rng, args.n, args.k, args.m)
-        verdict = _timed(phases, "structural", structural_verdict, pattern)
-        controllable, ranks, agree = _timed(
-            phases,
-            "realizations",
-            verdict_against_rank,
-            pattern,
-            args.seed * 1000 + index * 10,
-            args.tol,
-            verdict.controllable,
-        )
+def _rank_trials(queue: list, args, trials: list) -> None:
+    """Rank the queued (index, pattern, controllable) trials as one stack
+    and append their details to ``trials``."""
+    indices, patterns, verdicts = zip(*queue)
+    seeds = [args.seed * 1000 + index * 10 for index in indices]
+    results = verdict_against_rank(patterns, seeds, args.tol, verdicts)
+    for index, pattern, (controllable, ranks, agree) in zip(indices, patterns, results):
         trial = {
             "index": index,
             "controllable": controllable,
@@ -254,6 +245,27 @@ def _cmd_validate(args) -> int:
             # the pattern text replays the trial with ``analyze -``
             trial["pattern"] = serialize(pattern)
         trials.append(trial)
+
+
+def _cmd_validate(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    check_shape(args.n, args.k, args.m)
+    check_tolerance(args.tol)
+    rng = np.random.default_rng(args.seed)
+    phases = dict.fromkeys(("patterns", "structural", "realizations"), 0.0)
+    trials: list = []
+    queue: list = []
+    cells = 0
+    for index in range(args.trials):
+        pattern = _timed(phases, "patterns", pattern_of_shape, rng, args.n, args.k, args.m)
+        verdict = _timed(phases, "structural", structural_verdict, pattern)
+        # each trial's own stack is refused before the next pattern is drawn
+        cells += verdict_cells(pattern, verdict.controllable)
+        queue.append((index, pattern, verdict.controllable))
+        if cells >= _STACK_CELLS or index == args.trials - 1:
+            _timed(phases, "realizations", _rank_trials, queue, args, trials)
+            queue, cells = [], 0
     disagreements = [trial["index"] for trial in trials if not trial["agree"]]
     fields = {
         "trials": args.trials,
@@ -353,6 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # every command that takes --seed refuses a negative one, valued
+        # input included
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ValueError as exc:  # ParseError included
         _emit_error(args, "input", str(exc))

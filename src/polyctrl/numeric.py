@@ -23,18 +23,20 @@ dimension d add min(b, d) directions), and the loop ends when an iteration
 adds nothing.
 
 The iteration has one entry, ``_reduce``, and runs on a stack of
-realizations of one support (R systems that share n and the entry indices,
-with their own coefficients and B), so a pattern's realizations cost one
-set of numpy calls per batch, not R; ``strong_controllability`` is the
-stack of one.  The entries are in the index's lexicographic order, so the
-rank does not depend on the order of a file's lines.  The basis is an
-(R, n, n) array, and the matmuls and the SVD are stacked.  The members of a
-stack start at one control rank and draw the same normals from a fresh
-generator.  When one batch keeps different numbers of directions across
-them, the stack reruns from its start as one stack per number, so every
-member draws what a run on it alone draws and its result is bit-identical
-to that run; a stack of one never diverges.  Norms stay per member
-(``c @ c``, ``np.vdot``) for the same reason.
+realizations of dimension n (R systems with their own supports,
+coefficients and B), so the realizations of many patterns cost one set of
+numpy calls per batch, not R; ``strong_controllability`` is the stack of
+one.  Each member's entries are in its index's lexicographic order, so the
+rank does not depend on the order of a file's lines, and a shorter support
+is padded with coefficient-0 entries that the field drops.  The basis is an
+(R, n, n) array, and the matmuls and the SVD are stacked.  Members that
+start at one control rank form a part that draws the same normals from a
+fresh generator.  When one batch keeps different numbers of directions
+across a part's members, the part goes on from that batch as one part per
+number, each with a copy of the generator's state, so every member draws
+what a run on it alone draws and its result is bit-identical to that run;
+a stack of one never splits.  Norms stay per member (``c @ c``, one dot
+product per member's batch) for the same reason.
 
 The explicit controllability matrix runs the same recursion uncompressed
 on the tail-symmetrized unfolding: each step appends A applied to the
@@ -45,7 +47,8 @@ only serves as a desk-scale oracle.
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -90,48 +93,27 @@ def svd_rank(mat: np.ndarray, tol: float = 0.0) -> int:
     return int(np.count_nonzero(sigma > _relative_tolerance(tol, mat.shape) * sigma[0]))
 
 
-def _iterate(n: int, index, coeffs, u: np.ndarray, rank: int, cutoff: float):
-    """The rank iteration on members that share a control rank, from the
-    first ``rank`` left singular vectors ``u`` of their control matrices and
-    a fresh generator.  Returns the rank, the iteration count and None, or,
-    from the first batch where the members keep different numbers of
-    directions, each member's number in place of the None."""
-    basis = np.empty((len(u), n, n))
-    basis[:, :rank] = u[:, :, :rank].transpose(0, 2, 1)
-    rng = np.random.default_rng(0)
-    iterations = 0
-    while 0 < rank < n:
-        iterations += 1
-        start, scale = rank, [1.0] * len(basis)
-        while True:
-            width = min(_BATCH, n - rank)
-            normals = rng.standard_normal((start, width))
-            block = _field(index, coeffs, basis[:, :start].transpose(0, 2, 1) @ normals)
-            # per member, so every value matches a run on that member alone
-            scale = [s + np.vdot(b, b) for s, b in zip(scale, block)]
-            for _ in range(2):
-                block -= basis[:, :rank].transpose(0, 2, 1) @ (basis[:, :rank] @ block)
-            w, sigma, _ = np.linalg.svd(block, full_matrices=False)
-            kept = [int(np.count_nonzero(row > cutoff * s**0.5)) for row, s in zip(sigma, scale)]
-            count = kept[0]
-            if kept.count(count) < len(kept):
-                return rank, iterations, kept
-            basis[:, rank : rank + count] = w[:, :, :count].transpose(0, 2, 1)
-            rank += count
-            if count < width or rank == n:
-                break
-        if rank == start:
-            break
-    return rank, iterations, None
+def _reduction_cells(members: int, n: int, tails: int) -> int:
+    """Cells of a stack's rank reduction: each member's n x n basis and one
+    batch of points, n cells each and ``tails`` gathered tail cells."""
+    return members * (n * n + (n + tails) * min(_BATCH, n))
+
+
+def _twin(rng: np.random.Generator) -> np.random.Generator:
+    """A generator that draws what ``rng`` draws from here on."""
+    twin = np.random.default_rng(0)
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
 
 
 def _reduce(
     n: int, index: np.ndarray, coeffs: np.ndarray, controls: np.ndarray, tol: float, cap: int
 ) -> list[tuple[int, int, float]]:
-    """The rank iteration on a stack of realizations of one support.
+    """The rank iteration on a stack of realizations of dimension n.
 
-    ``index`` is the support's (nnz, k) array of 1-based multi-indices,
-    ``coeffs`` the (R, nnz) coefficients and ``controls`` the (R, n, m)
+    ``index`` holds each member's 1-based multi-indices (R, nnz, k), a
+    shorter support padded with rows whose head is n + 1, ``coeffs`` the
+    (R, nnz) coefficients, 0 on the padding, and ``controls`` the (R, n, m)
     control matrices.  Each member's coefficients are scaled to unit
     Euclidean norm, by an exact power of two first so that no square
     overflows or underflows, and B is orthonormalized up front, so the
@@ -142,31 +124,70 @@ def _reduce(
     Returns each member's rank, iteration count and cutoff; a member that
     did not iterate reports the cutoff of its control rank.
     """
-    cells = len(controls) * (n * n + (n + index[:, :-1].size) * min(_BATCH, n))
-    _check_capacity("rank reduction needs", cells, cap)
+    tails = index.shape[1] * (index.shape[2] - 1)
+    _check_capacity("rank reduction needs", _reduction_cells(len(controls), n, tails), cap)
     if coeffs.shape[1]:
-        # one contiguous row per member, so every norm rounds as a stack of
-        # one's, with its largest |c| brought into [0.5, 1) exactly
-        coeffs = np.array([c / np.sqrt(c @ c) for c in map(_unit_scaled, coeffs)])
-    index = index - 1
+        # one contiguous row per member, without its padding, so every norm
+        # rounds as a stack of one's, with its largest |c| brought into
+        # [0.5, 1) exactly
+        sizes = np.count_nonzero(index[:, :, -1] <= n, axis=1).tolist()
+        coeffs = np.array(
+            [c / np.sqrt(c[:size] @ c[:size]) for c, size in zip(map(_unit_scaled, coeffs), sizes)]
+        )
     u, sigma, _ = np.linalg.svd(controls, full_matrices=False)
     control_cutoff = _relative_tolerance(tol, controls.shape[1:])
     cutoff = _relative_tolerance(tol, (n, n))
-    ranks = np.array([np.count_nonzero(row > control_cutoff * row[0]) for row in sigma])
-    # A set whose members keep different numbers of directions in one batch
-    # reruns from its start as one set per number; every member then draws
-    # what a run on it alone draws.
-    work = [np.flatnonzero(ranks == rank) for rank in set(ranks.tolist())]
+    ranks = np.count_nonzero(sigma > control_cutoff * sigma[:, :1], axis=1)
     results: list = [None] * len(controls)
+    # A part is a set of members at one rank that draw from one generator:
+    # (members, basis, index, coeffs, rank, start, iterations, scale, rng,
+    # going), where start is the rank at the start of the iteration, scale
+    # each member's 1 + sum ||W||_F**2 over it, and going whether its last
+    # batch kept every direction.  Each distinct control rank starts a part
+    # with a fresh generator; a part whose members keep different numbers
+    # of directions in one batch goes on from that batch as one part per
+    # number, each with a twin of the generator, so every member draws what
+    # a run on it alone draws.
+    work = []
+    for rank in set(ranks.tolist()):
+        members = np.flatnonzero(ranks == rank)
+        basis = np.empty((len(members), n, n))
+        basis[:, :rank] = u[members, :, :rank].transpose(0, 2, 1)
+        rng = np.random.default_rng(0)
+        work.append((members, basis, index[members] - 1, coeffs[members], rank, -1, 0, None, rng,
+                     False))
     while work:
-        members = work.pop()
-        start = int(ranks[members[0]])
-        rank, iterations, kept = _iterate(n, index, coeffs[members], u[members], start, cutoff)
-        if kept is not None:
-            work.extend(members[np.array(kept) == count] for count in set(kept))
-            continue
-        for member in members:
-            results[member] = (rank, iterations, cutoff if iterations else control_cutoff)
+        members, basis, idx, c, rank, start, iterations, scale, rng, going = work.pop()
+        if not going:
+            if rank == start or not 0 < rank < n:
+                for member in members.tolist():
+                    results[member] = (rank, iterations, cutoff if iterations else control_cutoff)
+                continue
+            iterations += 1
+            start, scale = rank, np.ones(len(members))
+        width = min(_BATCH, n - rank)
+        normals = rng.standard_normal((start, width))
+        block = _field(idx, c, basis[:, :start].transpose(0, 2, 1) @ normals)
+        # one BLAS dot product per member, (1, L) by (L, 1), so every value
+        # matches a run on that member alone
+        flat = block.reshape(len(block), 1, -1)
+        scale = scale + (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+        for _ in range(2):
+            block -= basis[:, :rank].transpose(0, 2, 1) @ (basis[:, :rank] @ block)
+        w, sigma, _ = np.linalg.svd(block, full_matrices=False)
+        # s**0.5 is libm's pow, as the cutoff always was; np.sqrt can differ
+        # from it in the last bit
+        bounds = [cutoff * s**0.5 for s in scale.tolist()]
+        kept = np.count_nonzero(sigma > np.array(bounds)[:, None], axis=1)
+        counts = set(kept.tolist())
+        for count in counts:
+            part, twin, keep = (members, basis, idx, c, scale), rng, slice(None)
+            if len(counts) > 1:
+                keep = kept == count
+                part, twin = tuple(a[keep] for a in part), _twin(rng)
+            part[1][:, rank : rank + count] = w[keep, :, :count].transpose(0, 2, 1)
+            going = count == width and rank + count < n
+            work.append((*part[:4], rank + count, start, iterations, part[4], twin, going))
     return results
 
 
@@ -184,20 +205,25 @@ def strong_controllability(
     """Rank verdict from the reduced controllability matrix: the rank
     iteration of ``_reduce`` on a stack of one."""
     tensor, n = system.tensor, system.dim
-    results = _reduce(n, tensor.index, tensor.values[None], system.control[None], tol, cap)
+    results = _reduce(n, tensor.index[None], tensor.values[None], system.control[None], tol, cap)
     [report] = _reports(n, results)
     return report
 
 
 def realization_ranks(
-    pattern: SparsityPattern, seeds: Iterable[int], tol: float = 0.0
-) -> list[RankReport]:
-    """Rank verdicts of the pattern's realizations, one per seed, drawn by
-    ``sample_coefficients`` and reduced as one stack.  Each report equals
-    ``strong_controllability(sample_realization(pattern, seed), tol)`` bit
-    for bit; ``DEFAULT_CAP`` counts the cells of the whole stack."""
-    index, coeffs, controls = sample_coefficients(pattern, seeds)
-    return _reports(pattern.dim, _reduce(pattern.dim, index, coeffs, controls, tol, DEFAULT_CAP))
+    patterns: Sequence[SparsityPattern], seeds: Sequence[Iterable[int]], tol: float = 0.0
+) -> list[list[RankReport]]:
+    """Rank verdicts of realizations of patterns of one shape, one per seed,
+    ``seeds[i]`` those of ``patterns[i]``, drawn by ``sample_coefficients``
+    and reduced as one stack.  Returns each pattern's reports in the order
+    of its seeds; each equals ``strong_controllability(sample_realization(
+    pattern, seed), tol)`` bit for bit.  ``DEFAULT_CAP`` counts the cells of
+    the whole stack."""
+    seeds = [list(draws) for draws in seeds]
+    index, coeffs, controls = sample_coefficients(patterns, seeds)
+    n = controls.shape[1]
+    reports = iter(_reports(n, _reduce(n, index, coeffs, controls, tol, DEFAULT_CAP)))
+    return [list(islice(reports, len(draws))) for draws in seeds]
 
 
 def explicit_controllability_matrix(system: Polysystem, terms: int) -> np.ndarray:

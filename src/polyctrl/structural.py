@@ -11,11 +11,12 @@ neither occurs.
 from __future__ import annotations
 
 from itertools import compress
+from typing import Sequence
 
 from .hypergraph import DirectedHypergraph, build_hypergraph
-from .numeric import realization_ranks
+from .numeric import _reduction_cells, realization_ranks
 from .system import SparsityPattern
-from .tensor import _FrozenArrays
+from .tensor import _FrozenArrays, _check_capacity
 
 __all__ = [
     "DilationResult",
@@ -25,6 +26,7 @@ __all__ = [
     "detect_dilation",
     "structural_verdict",
     "verdict_against_rank",
+    "verdict_cells",
 ]
 
 
@@ -194,22 +196,48 @@ def structural_verdict(pattern: SparsityPattern) -> StructuralVerdict:
     return analyze_hypergraph(build_hypergraph(pattern))
 
 
-def verdict_against_rank(
-    pattern: SparsityPattern, seed: int, tol: float, controllable: bool | None = None
-) -> tuple[bool, list[int], bool]:
-    """Check the structural verdict against the rank of sampled realizations.
+def _draws(controllable: bool) -> int:
+    return 3 if controllable else 5
 
-    Returns (controllable, ranks, agree).  Realization j is drawn with seed
-    ``seed + j``: 3 of them for a controllable pattern, which agrees when
-    one reaches full rank (a generic realization should), and 5 for an
-    uncontrollable one, which agrees when none does.  The realizations are
-    drawn and ranked as one stack (``realization_ranks``).  ``controllable``
-    is the pattern's structural verdict when the caller already has it.
+
+def verdict_cells(pattern: SparsityPattern, controllable: bool) -> int:
+    """Cells of the stack ``verdict_against_rank`` ranks for one pattern of
+    the given verdict: its control matrices and its rank reduction, each
+    refused with CapacityError above ``DEFAULT_CAP`` as the sampling and the
+    reduction refuse them."""
+    draws, n = _draws(controllable), pattern.dim
+    controls = draws * n * pattern.inputs
+    _check_capacity("control matrices need", controls)
+    reduction = _reduction_cells(draws, n, pattern.tensor_index[:, :-1].size)
+    _check_capacity("rank reduction needs", reduction)
+    return controls + reduction
+
+
+def verdict_against_rank(
+    patterns: Sequence[SparsityPattern],
+    seeds: Sequence[int],
+    tol: float,
+    controllable: Sequence[bool] | None = None,
+) -> list[tuple[bool, list[int], bool]]:
+    """Check structural verdicts against the ranks of sampled realizations.
+
+    Returns (controllable, ranks, agree) per pattern.  Realization j of
+    ``patterns[i]`` is drawn with seed ``seeds[i] + j``: 3 of them for a
+    controllable pattern, which agrees when one reaches full rank (a generic
+    realization should), and 5 for an uncontrollable one, which agrees when
+    none does.  The patterns share one shape, and the realizations of all
+    of them are drawn and ranked as one stack (``realization_ranks``).
+    ``controllable`` holds the patterns' structural verdicts when the caller
+    already has them.
     """
+    patterns = list(patterns)
     if controllable is None:
-        controllable = structural_verdict(pattern).controllable
-    draws = 3 if controllable else 5
-    ranks = [report.rank for report in realization_ranks(pattern, range(seed, seed + draws), tol)]
-    if controllable:
-        return controllable, ranks, any(r == pattern.dim for r in ranks)
-    return controllable, ranks, all(r < pattern.dim for r in ranks)
+        controllable = [structural_verdict(pattern).controllable for pattern in patterns]
+    draws = [range(seed, seed + _draws(c)) for seed, c in zip(seeds, controllable, strict=True)]
+    results = []
+    stacked = realization_ranks(patterns, draws, tol)
+    for pattern, verdict, reports in zip(patterns, controllable, stacked):
+        ranks = [report.rank for report in reports]
+        full = [rank == pattern.dim for rank in ranks]
+        results.append((verdict, ranks, any(full) if verdict else not any(full)))
+    return results

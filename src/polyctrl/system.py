@@ -12,7 +12,7 @@ from zero.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -173,46 +173,67 @@ _SIGN_SHIFT = np.array([31, 63], dtype=np.uint64)
 
 
 def sample_coefficients(
-    pattern: SparsityPattern, seeds: Iterable[int]
+    patterns: Sequence[SparsityPattern], seeds: Sequence[Iterable[int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one realization of the pattern per seed, all in one pass.
+    """Draw one realization per seed of each pattern, all in one pass;
+    ``seeds[i]`` are the seeds of ``patterns[i]``, and the patterns share
+    one order, dimension and input count.
 
-    Returns the pattern's ``tensor_index``, the tensor coefficients as a
-    C-contiguous (R, nnz) array and the control matrices as an (R, dim,
-    inputs) array, row r drawn from the r-th seed.  Each coefficient is
-    sign * magnitude with the sign uniform on {-1, +1} and the magnitude
-    uniform on [0.5, 2.0], so values never fall inside (-0.5, 0.5).
-    Coefficients are drawn in lexicographic order of the supports, tensor
-    first, then control, and every value is bit-identical to drawing them
-    one at a time from ``np.random.default_rng(seed)`` with
-    ``integers(0, 2)`` for the sign (0 is negative) and
-    ``uniform(0.5, 2.0)`` for the magnitude.  Raises CapacityError when
-    the control matrices hold more than ``DEFAULT_CAP`` cells.
+    Returns the stack's members in order, pattern by pattern: the tensor
+    indices as an (R, nnz, order) array, the coefficients as a C-contiguous
+    (R, nnz) array and the control matrices as an (R, dim, inputs) array.
+    nnz is the largest support; a shorter one is padded at its end with rows
+    (1, ..., 1, dim + 1) of coefficient 0, whose head is outside the system.
+    Each coefficient is sign * magnitude with the sign uniform on {-1, +1}
+    and the magnitude uniform on [0.5, 2.0], so values never fall inside
+    (-0.5, 0.5).  Coefficients are drawn in lexicographic order of the
+    supports, tensor first, then control, and every value is bit-identical
+    to drawing them one at a time from ``np.random.default_rng(seed)`` with
+    ``integers(0, 2)`` for the sign (0 is negative) and ``uniform(0.5,
+    2.0)`` for the magnitude.  Raises CapacityError when the control
+    matrices hold more than ``DEFAULT_CAP`` cells.
     """
-    seeds = list(seeds)
-    _check_capacity("control matrices need", len(seeds) * pattern.dim * pattern.inputs)
-    index, control = pattern.tensor_index, pattern.control_index
-    nnz = len(index)
-    count = nnz + len(control)
-    pairs = (count + 1) // 2
-    # one row of [S, U0, U1] words per pair; an odd count leaves the last
-    # U1 unread, as zero
+    shapes = {(p.order, p.dim, p.inputs) for p in patterns}
+    if len(shapes) != 1:
+        raise ValueError(f"a stack needs patterns of one shape, got {sorted(shapes)}")
+    [(order, dim, inputs)] = shapes
+    seeds = [list(draws) for draws in seeds]
+    members = [p for p, draws in zip(patterns, seeds, strict=True) for _ in draws]
+    seeds = [seed for draws in seeds for seed in draws]
+    _check_capacity("control matrices need", len(seeds) * dim * inputs)
+    nnz = np.array([len(p.tensor_index) for p in members], dtype=np.int64)
+    entries = np.array([len(p.control_index) for p in members], dtype=np.int64)
+    width = max(len(p.tensor_index) for p in patterns)
+    pairs = max(len(p.tensor_index) + len(p.control_index) + 1 for p in patterns) // 2
+    # one row of [S, U0, U1] words per pair of a member's values; an odd
+    # count leaves its last U1 unread, as zero, and a shorter member its
+    # last rows
     raw = np.zeros((len(seeds), pairs, 3), dtype=np.uint64)
-    for r, seed in enumerate(seeds):
-        raw[r].flat[: count + pairs] = np.random.PCG64(int(seed)).random_raw(count + pairs)
+    counts = nnz + entries
+    for row, seed, words in zip(raw, seeds, (counts + (counts + 1) // 2).tolist()):
+        row.flat[:words] = np.random.PCG64(int(seed)).random_raw(words)
     signs = (raw[:, :, :1] >> _SIGN_SHIFT) & np.uint64(1)
     magnitudes = 0.5 + 1.5 * ((raw[:, :, 1:] >> np.uint64(11)) * 2.0**-53)
-    values = (magnitudes * (signs * 2.0 - 1.0)).reshape(len(seeds), 2 * pairs)[:, :count]
-    controls = np.zeros((len(seeds), pattern.dim, pattern.inputs))
-    if len(control):
-        rows, cols = control.T - 1
-        controls[:, rows, cols] = values[:, nnz:]
-    return index, np.ascontiguousarray(values[:, :nnz]), controls
+    values = (magnitudes * (signs * 2.0 - 1.0)).reshape(len(seeds), 2 * pairs)
+    real = np.arange(width) < nnz[:, None]
+    index = np.ones((len(seeds), width, order), dtype=np.int64)
+    index[..., -1] = dim + 1
+    rows = [np.empty((0, order), np.int64)] + [p.tensor_index for p in members]
+    index[real] = np.concatenate(rows)
+    coeffs = np.zeros((len(seeds), width))
+    coeffs[real] = values[:, :width][real]
+    # member r's control entry j is its value nnz[r] + j
+    member = np.repeat(np.arange(len(seeds)), entries)
+    entry = np.arange(len(member)) - np.repeat(np.cumsum(entries) - entries, entries)
+    control = np.concatenate([np.empty((0, 2), np.int64)] + [p.control_index for p in members])
+    controls = np.zeros((len(seeds), dim, inputs))
+    controls[member, control[:, 0] - 1, control[:, 1] - 1] = values[member, nnz[member] + entry]
+    return index, coeffs, controls
 
 
 def sample_realization(pattern: SparsityPattern, seed: int) -> Polysystem:
     """Draw a concrete system on the pattern's support: the one-seed case
     of ``sample_coefficients``, so the draw is bit-identical for a seed."""
-    index, coeffs, controls = sample_coefficients(pattern, [seed])
-    tensor = SparseTensor.from_arrays(pattern.order, pattern.dim, index, coeffs[0])
+    index, coeffs, controls = sample_coefficients([pattern], [[seed]])
+    tensor = SparseTensor.from_arrays(pattern.order, pattern.dim, index[0], coeffs[0])
     return Polysystem(tensor, controls[0])

@@ -220,15 +220,18 @@ class SparseTensor(_FrozenArrays):
 
 
 def _field(index: np.ndarray, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """f(x) = A x^(k-1) at each column x of ``points`` (n, b): gather the
-    tail rows, multiply, and scatter to the heads.  ``index`` holds the
-    0-based multi-indices (nnz, k) and ``coeffs`` the (nnz,) coefficients;
-    ``points`` may be a stack (R, n, b) with ``coeffs`` (R, nnz), one per
-    member."""
-    out = np.zeros(points.shape)
-    terms = points[..., index[:, :-1], :].prod(axis=-2) * coeffs[..., None]
-    np.add.at(out, (..., index[:, -1], slice(None)), terms)
-    return out
+    """f(x) = A x^(k-1) at each column x of a stack of points (R, n, b):
+    gather the tail rows, multiply, and scatter to the heads.  Member r has
+    its own 0-based multi-indices ``index[r]`` (nnz, k) and coefficients
+    ``coeffs[r]`` (nnz,).  A member with a shorter support is padded with
+    coefficient-0 entries whose head is the scratch row n, which is dropped,
+    so every real row adds the same terms in the same order as it would
+    for that member alone."""
+    members = np.arange(len(points))[:, None]
+    out = np.zeros((len(points), points.shape[1] + 1, points.shape[2]))
+    terms = points[members[..., None], index[..., :-1]].prod(axis=-2) * coeffs[..., None]
+    np.add.at(out, (members, index[..., -1]), terms)
+    return out[:, :-1]
 
 
 def symmetrize(tensor: SparseTensor) -> SparseTensor:
@@ -271,7 +274,7 @@ def contract(tensor: SparseTensor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (tensor.dim,):
         raise ValueError(f"expected vector of length {tensor.dim}, got shape {x.shape}")
-    return _field(tensor.index - 1, tensor.values, x[:, None])[:, 0]
+    return _field(tensor.index[None] - 1, tensor.values[None], x[None, :, None])[0, :, 0]
 
 
 def kron_power(mat: np.ndarray, power: int) -> np.ndarray:

@@ -158,7 +158,7 @@ def test_criterion_2_structural_verdict_predicts_rank(acceptance):
     start = time.perf_counter()
     bad = []
     for i in range(100):
-        _, _, agree = verdict_against_rank(random_system_pattern(i), 1000 + 10 * i, TOL)
+        [(_, _, agree)] = verdict_against_rank([random_system_pattern(i)], [1000 + 10 * i], TOL)
         if not agree:
             bad.append(i)
     elapsed = time.perf_counter() - start

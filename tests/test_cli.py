@@ -314,8 +314,8 @@ def test_validate_json_bytes(capsys):
 
 
 def test_validate_disagreement_carries_the_pattern_text(monkeypatch, capsys):
-    def odd_trials_disagree(pattern, seed, tol, controllable):
-        return controllable, [0] * 3, seed % 20 == 0
+    def odd_trials_disagree(patterns, seeds, tol, controllable):
+        return [(c, [0] * 3, seed % 20 == 0) for c, seed in zip(controllable, seeds)]
 
     monkeypatch.setattr("polyctrl.cli.verdict_against_rank", odd_trials_disagree)
     code, report = run_json(capsys, ["validate", "--json", "--trials", "4", "--n", "3"])
@@ -363,6 +363,9 @@ VALIDATE_PINS = {
     (5, 4, 2, 7): "f86d8a8e0b9b82788a4f4e2e41a68503aa22bdf9c18f954461f4b00652acc506",
     (8, 2, 2, 1): "78b8ae644f496ba233b1ba54295693be12ac99951598a997af5b3d39a3a9c05c",
     (8, 2, 2, 7): "927d67a43557195819cfc149f93863347e88c60bce09b11f468a6acb1d64070e",
+    # trials whose stacks start at different control ranks, or split
+    (3, 6, 1, 1): "e01eec3d1859ec80a165570e95112e68eb885c3432a86e7c7fdef86af7caa923",
+    (4, 4, 3, 1): "9b24557e907f018bee89f081430aa3f2a73bcdeddcdc31037643a68fcf9c2fd1",
 }
 
 
@@ -379,6 +382,14 @@ def test_validate_json_sha256_with_divergent_stacks(capsys):
             "--seed", "1", "--tol", "0"]
     assert sha256_of_output(capsys, argv) == (
         "c1d103c123b0028ba084e4f9f42223766da0f0fdb9cc917ba0de524a252f54b9"
+    )
+
+
+def test_validate_json_sha256_at_the_automatic_cutoff(capsys):
+    argv = ["validate", "--json", "--trials", "200", "--n", "5", "--k", "4", "--m", "2",
+            "--seed", "1", "--tol", "0"]
+    assert sha256_of_output(capsys, argv) == (
+        "9fe15d5379918193ca1da8a0e817faa14482b72a8cbcfa73d226c2533d6751f8"
     )
 
 
@@ -663,6 +674,27 @@ def test_rank_cap_bounds_the_reduction(tmp_path, capsys):
     }
 
 
+def test_validate_refuses_a_trial_stack_over_the_cap(capsys):
+    # the first trial's five realizations need 5 * (5000**2 + (5000 + 6) * 8)
+    # cells, refused before the next pattern is drawn
+    code = run(["validate", "--n", "5000", "--k", "2", "--m", "1", "--trials", "3", "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "kind": "capacity",
+        "message": "rank reduction needs 125200240 cells, cap is 67108864",
+    }
+
+
+def test_validate_ranks_a_trial_stack_below_the_cap_alone(capsys):
+    # each trial fits the cap, so no stack of queued trials exceeds it
+    argv = ["validate", "--n", "3000", "--k", "2", "--m", "1", "--trials", "3", "--json"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert report["trials"] == 3
+
+
 def test_memory_error_is_a_capacity_error(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 60.3 GiB")
@@ -701,6 +733,12 @@ def test_rank_refuses_hypergraph(tmp_path, capsys):
         (["validate", "--k", "-2", "--trials", "0"], "tensor order k must be >= 2, got -2"),
         (["gen", "--n", "2", "--k", "0", "--m", "1"], "tensor order k must be >= 2, got 0"),
         (["validate", "--trials", "0", "--tol", "-1"], "tolerance must be in [0, 1), got -1.0"),
+        # refused before any input is read, for every command with a --seed
+        (["gen", "--n", "3", "--k", "4", "--m", "1", "--seed", "-1"], "--seed must be >= 0"),
+        (["validate", "--seed", "-5"], "--seed must be >= 0, got -5"),
+        (["rank", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["analyze", "--numeric", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["lie-rank", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_bad_generator_arguments_exit_code(capsys, argv, message):

@@ -156,7 +156,7 @@ def kron_loop_block(tensor: SparseTensor, basis: np.ndarray) -> np.ndarray:
 
 def entry_block(tensor: SparseTensor, points: np.ndarray) -> np.ndarray:
     """The field at each column of ``points``."""
-    return _field(tensor.index - 1, tensor.values, points)
+    return _field(tensor.index[None] - 1, tensor.values[None], points[None])[0]
 
 
 def random_tensor(rng, k: int, n: int, nnz: int) -> SparseTensor:
@@ -306,7 +306,7 @@ def test_seed_7_validate_trials_agree(index):
     rng = np.random.default_rng(7)
     for _ in range(index + 1):
         pattern = pattern_of_shape(rng, 5, 4, 2)
-    controllable, ranks, agree = verdict_against_rank(pattern, 7 * 1000 + index * 10, 1e-10)
+    [(controllable, ranks, agree)] = verdict_against_rank([pattern], [7000 + index * 10], 1e-10)
     assert not controllable
     assert len(ranks) == 5
     assert agree, ranks
@@ -326,14 +326,16 @@ def single_runs(pattern, seeds, tol):
 @pytest.mark.parametrize("tol", [1e-10, 0.0])
 @pytest.mark.parametrize("n, k, m", [(5, 4, 2), (8, 2, 2), (3, 6, 1), (4, 4, 2)])
 def test_stacked_ranks_equal_single_runs(n, k, m, tol):
-    """Realizations drawn as ``validate`` draws them: every member of the
-    stack gets the rank, iteration count and cutoff of its own run."""
+    """Realizations of 60 patterns drawn as ``validate`` draws them, ranked
+    as one stack: every member gets the rank, iteration count and cutoff of
+    its own run, whatever support and control rank it starts from."""
     rng = np.random.default_rng(3)
-    for index in range(60):
-        pattern = pattern_of_shape(rng, n, k, m)
-        seeds = range(3000 + 10 * index, 3005 + 10 * index)
-        assert rank_triples(realization_ranks(pattern, seeds, tol)) == rank_triples(
-            single_runs(pattern, seeds, tol)
+    patterns = [pattern_of_shape(rng, n, k, m) for _ in range(60)]
+    seeds = [range(3000 + 10 * index, 3005 + 10 * index) for index in range(60)]
+    stacked = realization_ranks(patterns, seeds, tol)
+    for index, (pattern, reports) in enumerate(zip(patterns, stacked)):
+        assert rank_triples(reports) == rank_triples(
+            single_runs(pattern, seeds[index], tol)
         ), index
 
 
@@ -345,17 +347,19 @@ def test_divergent_stack_splits_and_matches_single_runs():
     for _ in range(39):
         pattern = pattern_of_shape(rng, 8, 2, 2)
     seeds = range(7380, 7385)
-    stacked = realization_ranks(pattern, seeds, 0.0)
+    [stacked] = realization_ranks([pattern], [seeds], 0.0)
     assert [r.rank for r in stacked] == [6, 6, 6, 7, 6]
     assert rank_triples(stacked) == rank_triples(single_runs(pattern, seeds, 0.0))
-    assert verdict_against_rank(pattern, 7380, 0.0) == (False, [6, 6, 6, 7, 6], True)
+    assert verdict_against_rank([pattern], [7380], 0.0) == [(False, [6, 6, 6, 7, 6], True)]
 
 
 def test_stack_members_with_different_control_ranks():
     """Members whose B differ in rank start in different groups."""
     tensor = SparseTensor(4, 4, {(1, 1, 1, 3): 1.0, (2, 2, 2, 4): -0.5, (1, 2, 2, 4): 0.8})
     controls = np.array([np.eye(4)[:, :2], np.outer([1.0, 2.0, 0.0, 0.0], [1.0, 1.0])])
-    stacked = _reduce(4, tensor.index, np.stack([tensor.values] * 2), controls, 0.0, 1 << 20)
+    stacked = _reduce(
+        4, np.stack([tensor.index] * 2), np.stack([tensor.values] * 2), controls, 0.0, 1 << 20
+    )
     singles = [strong_controllability(Polysystem(tensor, control)) for control in controls]
     assert stacked == rank_triples(singles)
     assert [rank for rank, _, _ in stacked] == [4, 2]
@@ -366,14 +370,37 @@ def test_nested_split_matches_single_runs():
     cut one by one: the stack splits at the second iteration, when the
     member without link 2 -> 3 stops, and again inside the part that goes
     on, when the member without link 3 -> 4 stops."""
-    index = np.array([[1, 2], [2, 3], [3, 4]])
+    index = np.tile([[1, 2], [2, 3], [3, 4]], (3, 1, 1))
     coeffs = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     controls = np.tile(np.eye(4)[:, :1], (3, 1, 1))
     stacked = _reduce(4, index, coeffs, controls, 0.0, 1 << 20)
     assert [(rank, iterations) for rank, iterations, _ in stacked] == [(4, 3), (3, 3), (2, 2)]
     for member, result in enumerate(stacked):
         one = slice(member, member + 1)
-        assert _reduce(4, index, coeffs[one], controls[one], 0.0, 1 << 20) == [result]
+        assert _reduce(4, index[one], coeffs[one], controls[one], 0.0, 1 << 20) == [result]
+
+
+def test_cross_support_split_matches_single_runs():
+    """Chains on two supports, padded to one width: 1 -> 2 -> 3 -> 4 -> 5 and
+    1 -> 3 -> 5 with its link 3 -> 5 cut in one member.  The members driven
+    at vertex 1 split at the second iteration, when the cut member stops,
+    and the part that goes on splits again at the third, when the short
+    chain has no vertex left to reach."""
+    long = [[1, 2], [2, 3], [3, 4], [4, 5]]
+    short = [[1, 3], [3, 5], [1, 6], [1, 6]]
+    index = np.array([long, long, short, short])
+    coeffs = np.array([[1.0, -1.0, 0.5, 2.0], [1.0, 1.0, 1.0, 1.0],
+                       [1.5, 1.0, 0.0, 0.0], [1.5, 0.0, 0.0, 0.0]])
+    controls = np.tile(np.eye(5)[:, :1], (4, 1, 1))
+    stacked = _reduce(5, index, coeffs, controls, 0.0, 1 << 20)
+    assert [(rank, iterations) for rank, iterations, _ in stacked] == [
+        (5, 4), (5, 4), (3, 3), (2, 2)
+    ]
+    for member, result in enumerate(stacked):
+        one = slice(member, member + 1)
+        width = 2 if member > 1 else 4
+        alone = _reduce(5, index[one, :width], coeffs[one, :width], controls[one], 0.0, 1 << 20)
+        assert alone == [result]
 
 
 def test_reported_cutoff_with_more_inputs_than_dimensions():
@@ -396,7 +423,7 @@ def test_stack_cap_counts_every_member():
     cells = n * n + (n + n - 1) * 8
     assert 3 * cells > DEFAULT_CAP > cells
     with pytest.raises(CapacityError, match=f"needs {3 * cells} cells"):
-        realization_ranks(pattern, [1, 2, 3])
+        realization_ranks([pattern], [[1, 2, 3]])
 
 
 def test_stack_refuses_an_odd_order():

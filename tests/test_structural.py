@@ -300,9 +300,14 @@ def test_verdict_depends_on_the_pattern_only():
 def test_verdict_against_rank_draws_by_verdict():
     # controllable: 3 draws, one at full rank suffices; not: 5, none may be
     cubic = sparsity_pattern(cubic_forward_system())
-    assert verdict_against_rank(cubic, 40, 1e-10) == (True, [2, 2, 2], True)
+    assert verdict_against_rank([cubic], [40], 1e-10) == [(True, [2, 2, 2], True)]
     shared = sparsity_pattern(shared_input_system())
-    assert verdict_against_rank(shared, 40, 1e-10) == (False, [1] * 5, True)
+    assert verdict_against_rank([shared], [40], 1e-10) == [(False, [1] * 5, True)]
+    # patterns of one shape share a stack, each with its own seeds
+    assert verdict_against_rank([cubic, cubic], [40, 41], 1e-10, [True, False]) == [
+        (True, [2, 2, 2], True),
+        (False, [2] * 5, False),
+    ]
 
 
 def test_analysis_scales_to_long_chains():

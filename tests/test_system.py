@@ -331,14 +331,37 @@ def test_bulk_support_draw_keeps_the_scalar_stream(shape):
 def test_sample_coefficients_stacks_one_draw_per_seed():
     pattern = random_system_pattern(4)
     seeds = [11, 12, 13, 11]
-    index, coeffs, controls = sample_coefficients(pattern, seeds)
-    assert index.tolist() == sorted(map(list, pattern.tensor_support))
-    assert coeffs.shape == (4, len(index))
+    index, coeffs, controls = sample_coefficients([pattern], [seeds])
+    support = sorted(map(list, pattern.tensor_support))
+    assert index.tolist() == [support] * 4
+    assert coeffs.shape == (4, len(support))
     assert controls.shape == (4, pattern.dim, pattern.inputs)
     for r, seed in enumerate(seeds):
         system = sample_realization(pattern, seed)
         assert coeffs[r].tolist() == list(system.tensor.entries.values())
         assert np.array_equal(controls[r], system.control)
     assert np.array_equal(coeffs[0], coeffs[3])
-    empty = sample_coefficients(pattern, [])
-    assert [a.shape for a in empty] == [index.shape, (0, len(index)), (0, *controls.shape[1:])]
+    empty = sample_coefficients([pattern], [[]])
+    assert [a.shape for a in empty] == [(0, *index.shape[1:]), (0, len(support)),
+                                        (0, *controls.shape[1:])]
+
+
+def test_sample_coefficients_pads_shorter_supports():
+    """Patterns of one shape share a stack: each member draws what it draws
+    alone, and a shorter support ends in rows (1, ..., 1, n + 1) of
+    coefficient 0."""
+    short = SparsityPattern(4, 3, 2, {(1, 1, 1, 2)}, {(1, 1), (3, 2)})
+    long = SparsityPattern(4, 3, 2, {(1, 1, 1, 2), (2, 2, 2, 3), (1, 2, 3, 3)}, {(2, 1)})
+    index, coeffs, controls = sample_coefficients([short, long], [[5], [6, 7]])
+    assert index.shape == (3, 3, 4)
+    assert index[0].tolist() == [[1, 1, 1, 2], [1, 1, 1, 4], [1, 1, 1, 4]]
+    assert coeffs[0, 1:].tolist() == [0.0, 0.0]
+    for r, (pattern, seed) in enumerate([(short, 5), (long, 6), (long, 7)]):
+        system = sample_realization(pattern, seed)
+        nnz = len(pattern.tensor_index)
+        assert np.array_equal(index[r, :nnz], pattern.tensor_index)
+        assert coeffs[r, :nnz].tolist() == system.tensor.values.tolist()
+        assert np.array_equal(controls[r], system.control)
+    other = SparsityPattern(4, 3, 1, {(1, 1, 1, 2)}, {(1, 1)})
+    with pytest.raises(ValueError, match="patterns of one shape"):
+        sample_coefficients([short, other], [[1], [2]])
