@@ -23,7 +23,6 @@ from .oracle import (
     kalman_rank,
     lie_algebra_rank_at_origin,
     lie_bracket,
-    lie_rank_is_final,
 )
 from .structural import (
     DilationResult,
@@ -76,7 +75,6 @@ __all__ = [
     "kron_power",
     "lie_algebra_rank_at_origin",
     "lie_bracket",
-    "lie_rank_is_final",
     "sample_realization",
     "sparsity_pattern",
     "strong_controllability",

@@ -215,7 +215,7 @@ def _cmd_rank(args) -> int:
 def _cmd_lie_rank(args) -> int:
     obj = _load(args)
     system, seed = _system(obj, args)
-    rank, saturated = lie_algebra_rank_at_origin(system, depth_cap=args.depth_cap)
+    rank, saturated, _ = lie_algebra_rank_at_origin(system, depth_cap=args.depth_cap)
     return _report(
         args,
         input=_input_section(obj),

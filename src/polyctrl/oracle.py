@@ -4,7 +4,9 @@ Everything here recomputes a verdict by a route the main modules do not
 share: subset enumeration instead of matching, a set-algebra closure instead
 of the flat firing fixed point, Lie brackets at the origin instead of the
 iterated controllability matrix, and the classical Kalman test for the
-linear case.  All of it is deliberately desk-scale and guarded.
+linear case.  All of it is deliberately desk-scale and guarded.  The Lie
+oracle is exact: it brackets residues mod a prime and keeps one echelon for
+the span, the rank at the origin and its certificate, with no tolerance.
 """
 
 from __future__ import annotations
@@ -19,19 +21,17 @@ import numpy as np
 from .hypergraph import DirectedHypergraph
 from .numeric import svd_rank
 from .system import Polysystem
-from .tensor import CapacityError, SparseTensor, _FrozenArrays, _integer, _unit_scaled
+from .tensor import CapacityError, _FrozenArrays, _integer
 
 __all__ = [
     "AccessClosure",
     "PolyVectorField",
     "brute_force_dilation",
-    "evaluate_at_zero",
     "field_from_polysystem",
     "individual_accessibility_closure",
     "kalman_rank",
     "lie_algebra_rank_at_origin",
     "lie_bracket",
-    "lie_rank_is_final",
 ]
 
 
@@ -39,6 +39,9 @@ __all__ = [
 # tuple of (variable, exponent) pairs sorted by variable, () for constants.
 Powers = tuple[tuple[int, int], ...]
 Polynomial = dict[Powers, float]
+
+# The Lie oracle's prime, 2^61 - 1: every coefficient it brackets is a residue.
+_P = (1 << 61) - 1
 
 
 def _canonical(powers) -> Powers:
@@ -49,8 +52,9 @@ def _canonical(powers) -> Powers:
 
 
 def _poly_add(target: Polynomial, key: Powers, coeff: float) -> None:
-    value = target.get(key, 0.0) + coeff
-    if value == 0.0:
+    # an int default, so that residues stay exact ints
+    value = target.get(key, 0) + coeff
+    if value == 0:
         target.pop(key, None)
     else:
         target[key] = value
@@ -130,75 +134,98 @@ def field_from_polysystem(
     return drift, tuple(inputs)
 
 
-def lie_bracket(f: PolyVectorField, g: PolyVectorField) -> PolyVectorField:
-    """[f, g] = (Jacobian of g) f - (Jacobian of f) g, exact on monomials."""
-    if f.dim != g.dim:
-        raise ValueError(f"field dimensions differ: {f.dim} vs {g.dim}")
-    n = f.dim
+def _bracket(n: int, f, g) -> tuple[Polynomial, ...]:
+    """[f, g] on coordinate tuples: (Jacobian of g) f - (Jacobian of f) g."""
     coords: list[Polynomial] = []
     for i in range(n):
         total: Polynomial = {}
         for j in range(1, n + 1):
-            for key, coeff in _poly_mul(_poly_diff(dict(g.coords[i]), j), dict(f.coords[j - 1])).items():
+            for key, coeff in _poly_mul(_poly_diff(g[i], j), f[j - 1]).items():
                 _poly_add(total, key, coeff)
-            for key, coeff in _poly_mul(_poly_diff(dict(f.coords[i]), j), dict(g.coords[j - 1])).items():
+            for key, coeff in _poly_mul(_poly_diff(f[i], j), g[j - 1]).items():
                 _poly_add(total, key, -coeff)
         coords.append(total)
-    return PolyVectorField(n, tuple(coords))
+    return tuple(coords)
 
 
-def evaluate_at_zero(field: PolyVectorField) -> np.ndarray:
-    """Constant part of each coordinate."""
-    return np.array([poly.get((), 0.0) for poly in field.coords])
+def lie_bracket(f: PolyVectorField, g: PolyVectorField) -> PolyVectorField:
+    """[f, g] = (Jacobian of g) f - (Jacobian of f) g, exact on monomials."""
+    if f.dim != g.dim:
+        raise ValueError(f"field dimensions differ: {f.dim} vs {g.dim}")
+    return PolyVectorField(f.dim, _bracket(f.dim, f.coords, g.coords))
 
 
-class _FieldSpan:
-    """Span of fields over the monomial-coordinate basis, kept as orthonormal
-    rows: a field extends it when its residual after two rounds of
-    Gram-Schmidt exceeds ``RTOL`` times its own norm."""
+def _mod(coords) -> tuple[Polynomial, ...]:
+    """Coordinates with every coefficient taken mod ``_P``, zeros dropped.  A
+    float64 coefficient is a dyadic rational, so it has an exact residue."""
+    out = []
+    for poly in coords:
+        reduced: Polynomial = {}
+        for key, coeff in poly.items():
+            num, den = coeff.as_integer_ratio()
+            value = num * pow(den, -1, _P) % _P
+            if value:
+                reduced[key] = value
+        out.append(reduced)
+    return tuple(out)
 
-    RTOL = 1e-10
+
+def _flat(coords) -> dict[tuple[Powers, int], int]:
+    """A field as one sparse vector keyed by (monomial, coordinate), so that
+    the constant keys sort first."""
+    return {(key, i): coeff for i, poly in enumerate(coords) for key, coeff in poly.items()}
+
+
+def _value(coords, point: list[int]) -> dict[tuple[Powers, int], int]:
+    """A field's value at a point of residues, as a constant vector like
+    ``_flat``'s."""
+    out = {}
+    for i, poly in enumerate(coords):
+        total = 0
+        for key, coeff in poly.items():
+            for var, exp in key:
+                coeff = coeff * pow(point[var - 1], exp, _P)
+            total += coeff
+        total %= _P
+        if total:
+            out[((), i)] = total
+    return out
+
+
+class _Echelon:
+    """Span of sparse vectors mod ``_P``, kept as (pivot, row) pairs with a 1
+    at the pivot.  A vector is reduced against the rows in insertion order;
+    anything left joins as a row whose pivot is its least key, so every row
+    is zero before its pivot and at the pivots of the rows before it."""
 
     def __init__(self) -> None:
-        self.index: dict[tuple[int, Powers], int] = {}
-        self.rows: list[np.ndarray] = []
+        self.rows: list[tuple[tuple, dict]] = []
 
-    def add(self, field: PolyVectorField) -> bool:
-        """True when the field extends the span; it is then retained."""
-        items = sorted(
-            ((i, key), coeff) for i, poly in enumerate(field.coords) for key, coeff in poly.items()
-        )
-        for key, _ in items:
-            if key not in self.index:
-                self.index[key] = len(self.index)
-        width = len(self.index)
-        vec = np.zeros(width)
-        for key, coeff in items:
-            vec[self.index[key]] = coeff
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
+    def add(self, vec: dict) -> bool:
+        """True when ``vec`` extends the span; it is then retained."""
+        vec = dict(vec)
+        for pivot, row in self.rows:
+            scale = vec.get(pivot)
+            if scale:
+                for key, value in row.items():
+                    left = (vec.get(key, 0) - scale * value) % _P
+                    if left:
+                        vec[key] = left
+                    else:
+                        vec.pop(key, None)
+        if not vec:
             return False
-        grown = []
-        for row in self.rows:
-            if row.shape[0] < width:
-                row = np.concatenate([row, np.zeros(width - row.shape[0])])
-            grown.append(row)
-        self.rows = grown
-        residual = vec.copy()
-        for _ in range(2):
-            for row in self.rows:
-                residual -= (row @ residual) * row
-        res_norm = np.linalg.norm(residual)
-        if res_norm <= self.RTOL * norm:
-            return False
-        self.rows.append(residual / res_norm)
+        pivot = min(vec)
+        inverse = pow(vec[pivot], -1, _P)
+        self.rows.append((pivot, {key: value * inverse % _P for key, value in vec.items()}))
         return True
 
 
 def _bracket_generation(
     system: Polysystem, depth_cap: int | None
-) -> tuple[PolyVectorField, tuple[PolyVectorField, ...], list[PolyVectorField], bool]:
-    """Drift, inputs, the independent fields found, and whether they closed."""
+) -> tuple[list[tuple[Polynomial, ...]], _Echelon, bool]:
+    """Drift and inputs mod ``_P``, the echelon of the fields they generate,
+    and whether the generation closed."""
     n, k = system.dim, system.order
     if n > 4 or k > 4:
         raise CapacityError(
@@ -209,102 +236,74 @@ def _bracket_generation(
     if depth_cap < 1:
         raise ValueError(f"depth cap must be >= 1, got {depth_cap}")
 
-    # Drift and inputs scaled by nonzero constants generate the same algebra,
-    # so A and B are each brought to a largest |entry| in [0.5, 1) first and
-    # the rank does not depend on the units of the coefficients.
-    tensor = SparseTensor.from_arrays(
-        k, n, system.tensor.index, _unit_scaled(system.tensor.values)
-    )
-    drift, inputs = field_from_polysystem(Polysystem(tensor, _unit_scaled(system.control)))
-    generators = [drift, *inputs]
-    span = _FieldSpan()
-    basis: list[PolyVectorField] = []
-    for g in generators:
-        if span.add(g):
-            basis.append(g)
-
-    frontier = list(basis)
+    drift, inputs = field_from_polysystem(system)
+    generators = [_mod(g.coords) for g in (drift, *inputs)]
+    span = _Echelon()
+    frontier = [g for g in generators if span.add(_flat(g))]
     saturated = not frontier
     for _ in range(depth_cap):
-        fresh: list[PolyVectorField] = []
+        fresh = []
         for h in frontier:
             for g in generators:
-                candidate = lie_bracket(g, h)
-                if span.add(candidate):
+                candidate = _mod(_bracket(n, g, h))
+                if span.add(_flat(candidate)):
                     fresh.append(candidate)
-        basis.extend(fresh)
         if not fresh:
             saturated = True
             break
         frontier = fresh
-    return drift, inputs, basis, saturated
-
-
-def _rank_at_zero(basis: list[PolyVectorField]) -> int:
-    if not basis:
-        return 0
-    return svd_rank(np.column_stack([evaluate_at_zero(h) for h in basis]), 1e-10)
+    return generators, span, saturated
 
 
 def lie_algebra_rank_at_origin(
     system: Polysystem, depth_cap: int | None = None
-) -> tuple[int, bool]:
-    """Rank at the origin of the algebra bracket-generated by drift and inputs.
+) -> tuple[int, bool, bool]:
+    """Rank at the origin of the algebra bracket-generated by drift and
+    inputs, as ``(rank, saturated, final)``, from one generation mod ``_P``.
 
     Breadth-first: every new independent field is bracketed with every
     generator, until no round adds a field (saturated) or ``depth_cap``
     rounds have run.  ``saturated`` therefore means the algebra closed; it
     stays False when brackets keep producing new fields that vanish at the
-    origin, even though the rank there no longer changes.  Whether the rank
-    is final is a separate question, answered by ``lie_rank_is_final``.
-    Desk-scale guards n <= 4 and k <= 4 keep the monomial bases tiny.
+    origin, even though the rank there no longer changes.  Desk-scale
+    guards n <= 4 and k <= 4 keep the monomial bases tiny.
+
+    Every coefficient is an exact residue mod the prime ``_P``, so nothing
+    depends on a tolerance or on the units of A and B.  Rank mod a prime
+    never exceeds the rank over the rationals, so the error is one-sided:
+    the rank can only come out too low, when ``_P`` happens to divide a
+    quantity that is nonzero over the rationals.
+
+    ``final`` certifies that the rank found within ``depth_cap`` rounds is
+    the rank of the whole algebra.  It holds when the algebra saturated,
+    when the rank already equals n, or when the span V of the found fields'
+    values at the origin contains every input column and the drift maps V
+    into itself.  In the last case drift and inputs are tangent to V along
+    V, and brackets of tangent fields stay tangent, so every field of the
+    algebra takes its value at the origin inside V: the rank is at most
+    dim V, and the found fields reach it.  The drift is homogeneous of
+    degree k - 1, so it maps V into itself exactly when it does at the
+    points sum(t_i v_i), over a basis v of V and nonnegative integers t
+    summing to k - 1; those points determine a homogeneous polynomial of
+    that degree.
     """
-    _, _, basis, saturated = _bracket_generation(system, depth_cap)
-    return _rank_at_zero(basis), saturated
-
-
-def _constant_field(value: np.ndarray) -> PolyVectorField:
-    return PolyVectorField(value.shape[0], tuple({(): float(x)} for x in value))
-
-
-def _evaluate(field: PolyVectorField, point: np.ndarray) -> np.ndarray:
-    out = np.zeros(field.dim)
-    for i, poly in enumerate(field.coords):
-        for key, coeff in poly.items():
-            term = coeff
-            for var, exp in key:
-                term *= point[var - 1] ** exp
-            out[i] += term
-    return out
-
-
-def lie_rank_is_final(system: Polysystem, depth_cap: int | None = None) -> bool:
-    """Certificate that the rank at the origin found within ``depth_cap``
-    bracket rounds is the rank of the whole algebra.
-
-    It holds when the algebra saturated, when the rank already equals n, or
-    when the span V of the found fields' values at the origin contains every
-    input column and the drift maps V into itself.  In the last case drift
-    and inputs are tangent to V along V, and brackets of tangent fields stay
-    tangent, so every field of the algebra takes its value at the origin
-    inside V: the rank is at most dim V, and the found fields reach it.
-    The drift is homogeneous of degree k - 1, so it maps V into itself
-    exactly when it does at the points sum(t_i v_i), over a basis v of V
-    and nonnegative integers t summing to k - 1; those points determine a
-    homogeneous polynomial of that degree.  The basis is taken from the
-    found values themselves, of the system scaled as in the bracket
-    generation, and the span test is the span's relative tolerance.
-    """
-    drift, inputs, basis, saturated = _bracket_generation(system, depth_cap)
-    if saturated or _rank_at_zero(basis) == system.dim:
-        return True
-    span = _FieldSpan()
-    values = [evaluate_at_zero(h) for h in basis]
-    space = [v for v in values if span.add(_constant_field(v))]
-    tests = [evaluate_at_zero(b) for b in inputs]
-    for combo in combinations_with_replacement(range(len(space)), system.order - 1):
-        tests.append(_evaluate(drift, sum(space[i] for i in combo)))
-    return not any(span.add(_constant_field(y)) for y in tests)
+    (drift, *inputs), span, saturated = _bracket_generation(system, depth_cap)
+    n = system.dim
+    # rows with a non-constant pivot vanish at the origin; the constant parts
+    # of the others are independent and span V
+    values = _Echelon()
+    for pivot, row in span.rows:
+        if pivot[0] == ():
+            values.add({key: value for key, value in row.items() if key[0] == ()})
+    rank = len(values.rows)
+    if saturated or rank == n:
+        return rank, saturated, True
+    space = [[row.get(((), i), 0) for i in range(n)] for _, row in values.rows]
+    tests = [_flat(b) for b in inputs]
+    for combo in combinations_with_replacement(space, system.order - 1):
+        point = [sum(column) % _P for column in zip(*combo)]
+        tests.append(_value(drift, point))
+    return rank, saturated, not any(values.add(y) for y in tests)
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,6 @@ from polyctrl.oracle import (
     individual_accessibility_closure,
     kalman_rank,
     lie_algebra_rank_at_origin,
-    lie_rank_is_final,
 )
 from polyctrl.structural import (
     analyze_hypergraph,
@@ -245,11 +244,11 @@ def test_criterion_5_lie_rank_consistency(acceptance):
     rank_disagreements = []
     unsettled = []
     for name, system in instances:
-        lie_rank, _ = lie_algebra_rank_at_origin(system)
+        lie_rank, _, final = lie_algebra_rank_at_origin(system)
         report = strong_controllability(system, tol=TOL)
         if (lie_rank == system.dim) != report.strongly_controllable:
             rank_disagreements.append(name)
-        if not lie_rank_is_final(system):
+        if not final:
             unsettled.append(name)
 
     # k = 2 stays out of the bracket oracle; the Kalman test covers it

@@ -157,6 +157,18 @@ def test_lie_rank_command(tmp_path, capsys):
     assert report["saturated"] is True
 
 
+def test_lie_rank_over_a_wide_coefficient_range(tmp_path, capsys):
+    path = write(tmp_path, "tensor 4 3\n1 1 1 2 1e300\n2 2 2 3 1e-300\nmatrix 3 1\n1 1 1.0\n")
+    code, report = run_json(capsys, ["lie-rank", path, "--depth-cap", "12", "--json"])
+    assert code == 0
+    assert report["rank"] == 3
+    assert report["full_rank"] is True
+    code, report = run_json(capsys, ["lie-rank", path, "--json"])
+    assert code == 0
+    assert report["rank"] == 2
+    assert report["saturated"] is False
+
+
 def test_validate_command(tmp_path, capsys):
     code, report = run_json(
         capsys, ["validate", "--json", "--trials", "3", "--n", "2", "--seed", "1"]

@@ -11,19 +11,19 @@ from conftest import (
     self_loop_system,
     shared_input_system,
 )
-from polyctrl.generate import random_digraph_pattern
+from polyctrl import oracle
+from polyctrl.formats import parse_input
+from polyctrl.generate import random_digraph_pattern, random_system_pattern
 from polyctrl.hypergraph import DirectedHypergraph, Hyperedge, build_hypergraph
 from polyctrl.numeric import strong_controllability
 from polyctrl.oracle import (
     PolyVectorField,
     brute_force_dilation,
-    evaluate_at_zero,
     field_from_polysystem,
     individual_accessibility_closure,
     kalman_rank,
     lie_algebra_rank_at_origin,
     lie_bracket,
-    lie_rank_is_final,
 )
 from polyctrl.system import Polysystem, sample_realization, sparsity_pattern
 from polyctrl.tensor import CapacityError, SparseTensor, unfold
@@ -84,12 +84,6 @@ def test_field_merges_symmetric_entries():
     assert drift.coords == ({}, {((1, 2), (2, 1)): 3.0})
 
 
-def test_evaluate_at_zero_reads_constant_part():
-    drift, inputs = field_from_polysystem(cubic_forward_system())
-    assert np.array_equal(evaluate_at_zero(drift), [0.0, 0.0])
-    assert np.array_equal(evaluate_at_zero(inputs[0]), [1.0, 0.0])
-
-
 # --- brackets ---
 
 
@@ -101,7 +95,7 @@ def test_bracket_chain_of_the_cubic():
     assert second.coords == ({}, {((1, 1),): 6.0})
     third = lie_bracket(b, second)
     assert third.coords == ({}, {(): 6.0})
-    assert np.array_equal(evaluate_at_zero(third), [0.0, 6.0])
+    assert third.coords[1][()] == 6.0
     assert lie_bracket(b, third) == ZERO
 
 
@@ -177,35 +171,33 @@ def test_field_keys_normalize_integer_like_entries():
 
 
 def test_lie_rank_of_cubic_forward():
-    rank, saturated = lie_algebra_rank_at_origin(cubic_forward_system())
-    assert rank == 2
-    assert saturated
+    assert lie_algebra_rank_at_origin(cubic_forward_system()) == (2, True, True)
 
 
 def test_lie_rank_of_self_loop():
     # the bracket chain in coordinate 1 never closes, so no saturation,
     # but the rank at the origin is stable: coordinate 2 stays zero
-    rank, saturated = lie_algebra_rank_at_origin(self_loop_system())
+    rank, saturated, _ = lie_algebra_rank_at_origin(self_loop_system())
     assert rank == 1
     assert not saturated
-    rank_deeper, _ = lie_algebra_rank_at_origin(self_loop_system(), depth_cap=7)
+    rank_deeper, _, _ = lie_algebra_rank_at_origin(self_loop_system(), depth_cap=7)
     assert rank_deeper == 1
 
 
 def test_lie_rank_of_shared_input():
-    rank, saturated = lie_algebra_rank_at_origin(shared_input_system())
+    rank, saturated, _ = lie_algebra_rank_at_origin(shared_input_system())
     assert rank == 1
     assert saturated
 
 
 def test_lie_rank_of_chain():
-    rank, saturated = lie_algebra_rank_at_origin(linear_chain_system())
+    rank, saturated, _ = lie_algebra_rank_at_origin(linear_chain_system())
     assert rank == 2
     assert saturated
 
 
 def test_lie_rank_respects_depth_cap():
-    rank, saturated = lie_algebra_rank_at_origin(cubic_forward_system(), depth_cap=1)
+    rank, saturated, _ = lie_algebra_rank_at_origin(cubic_forward_system(), depth_cap=1)
     assert rank == 1
     assert not saturated
 
@@ -222,28 +214,81 @@ def test_lie_rank_guards():
 
 
 def test_lie_rank_handles_non_integral_coefficients():
-    rank, saturated = lie_algebra_rank_at_origin(cubic_forward_system(coeff=0.75, gain=1.5))
+    rank, saturated, _ = lie_algebra_rank_at_origin(cubic_forward_system(coeff=0.75, gain=1.5))
     assert rank == 2
     assert saturated
 
 
 def test_rank_is_final_without_saturation_on_self_loop():
     # V = span{e1} holds the input, and the drift x1^3 e1 maps V into itself
-    _, saturated = lie_algebra_rank_at_origin(self_loop_system())
+    _, saturated, final = lie_algebra_rank_at_origin(self_loop_system())
     assert not saturated
-    assert lie_rank_is_final(self_loop_system())
+    assert final
 
 
 def test_rank_is_final_on_closed_algebras():
-    assert lie_rank_is_final(shared_input_system())
-    assert lie_rank_is_final(cubic_forward_system())
-    assert lie_rank_is_final(cubic_forward_system(coeff=0.75, gain=1.5))
+    assert lie_algebra_rank_at_origin(shared_input_system())[2]
+    assert lie_algebra_rank_at_origin(cubic_forward_system())[2]
+    assert lie_algebra_rank_at_origin(cubic_forward_system(coeff=0.75, gain=1.5))[2]
 
 
 def test_rank_is_not_final_below_the_depth_cap():
     # after one round V = span{e1}, but the drift sends e1 to e2, outside V
-    assert not lie_rank_is_final(cubic_forward_system(), depth_cap=1)
-    assert not lie_rank_is_final(cubic_forward_system(coeff=0.75, gain=1.5), depth_cap=1)
+    assert not lie_algebra_rank_at_origin(cubic_forward_system(), depth_cap=1)[2]
+    assert not lie_algebra_rank_at_origin(
+        cubic_forward_system(coeff=0.75, gain=1.5), depth_cap=1
+    )[2]
+
+
+# a drawn n=4, k=4 system whose rank 4 a float span once read as 3, certified
+N4_SYSTEM = sample_realization(random_system_pattern(224, 1, 4), 7224)
+# x2' = 1e300 x1^3, x3' = 1e-300 x2^3: a power-of-two rescale of A to unit
+# size once underflowed the 1e-300 entry to zero
+WIDE_TEXT = "tensor 4 3\n1 1 1 2 1e300\n2 2 2 3 1e-300\nmatrix 3 1\n1 1 1.0\n"
+
+
+def test_lie_rank_of_a_drawn_four_state_system():
+    assert lie_algebra_rank_at_origin(N4_SYSTEM) == (4, False, True)
+
+
+def test_lie_rank_over_a_wide_coefficient_range():
+    # e3 first appears at the origin in the twelfth round
+    wide = parse_input(WIDE_TEXT)
+    assert lie_algebra_rank_at_origin(wide) == (2, False, False)
+    assert lie_algebra_rank_at_origin(wide, depth_cap=12) == (3, False, True)
+
+
+def test_lie_rank_does_not_depend_on_the_prime(monkeypatch):
+    """The same triples, and as many fields kept, mod 2^31 - 1 as mod
+    2^61 - 1; a coefficient that leaked into floats would be rounded, and
+    the fields kept would then depend on the prime."""
+    cases = [(N4_SYSTEM, None), (parse_input(WIDE_TEXT), None), (parse_input(WIDE_TEXT), 12)]
+    cases += [
+        (system, None)
+        for system in (cubic_forward_system(), self_loop_system(), shared_input_system())
+    ]
+    cases += [
+        (sample_realization(random_system_pattern(j, n_low=1, n_high=3), 3000 + j), None)
+        for j in range(6)
+    ]
+
+    def answers():
+        return [
+            (
+                lie_algebra_rank_at_origin(system, depth_cap=cap),
+                len(oracle._bracket_generation(system, cap)[1].rows),
+            )
+            for system, cap in cases
+        ]
+
+    expected = answers()
+    monkeypatch.setattr(oracle, "_P", (1 << 31) - 1)
+    assert answers() == expected
+    assert [triple for triple, _ in expected[:3]] == [
+        (4, False, True),
+        (2, False, False),
+        (3, False, True),
+    ]
 
 
 # --- brute-force dilation ---
